@@ -75,23 +75,25 @@
 // optimizer prediction — are printed to stderr. Tracing is per-run, so
 // -trace cannot be combined with -sweep.
 //
-// Distributed runs persist the measured per-task ship time as an EWMA file
-// (hpa-ship-ewma.json, next to the cost-model cache in the scratch
-// directory), and later -optimize runs price remote plans with that
-// measured figure instead of the calibrated loopback lower bound; -explain
-// shows which one priced the plan as "ship=measured" vs
-// "ship=loopback-bound". Pass -measured-ship=false to ignore the persisted
-// file and keep the loopback bound. As with the cost-model cache, the
-// feedback only survives across runs when -scratch points at a persistent
-// directory.
+// Runs record what they measured in one observed-profile file
+// (hpa-observed.json, next to the cost-model cache in the scratch
+// directory), and later -optimize runs price with it:
 //
-// Runs with assignment pruning active persist the measured skip rate the
-// same way (hpa-skip-ewma.json, keyed by bound variant and cluster-count
-// bucket), and later -optimize runs price the bounded K-Means kernels
-// with the skip rate real corpora achieve instead of the calibration
-// loop's synthetic one; -explain labels the source as "skip=measured" vs
-// "skip=calibrated". Pass -measured-skip=false to ignore the persisted
-// file and keep calibrated skip pricing.
+//   - distributed runs record the per-task ship time, and remote plans are
+//     then priced with that measured figure instead of the calibrated
+//     loopback lower bound; -explain shows which one priced the plan as
+//     "ship=measured" vs "ship=loopback-bound". -measured-ship=false
+//     ignores the recorded ship time.
+//   - runs with assignment pruning active record the skip rate, keyed by
+//     bound variant and cluster-count bucket, and the bounded K-Means
+//     kernels are then priced with the skip rate real corpora achieve
+//     instead of the calibration loop's synthetic one; -explain labels the
+//     source as "skip=measured" vs "skip=calibrated". -measured-skip=false
+//     ignores the recorded skip rates.
+//
+// Recording is always on. As with the cost-model cache, the profile only
+// survives across runs when -scratch points at a persistent directory;
+// -scratch must name an existing directory, checked before any work runs.
 //
 // With -sweep, the workflow runs once per thread count and prints a
 // Figure 3-style table. With -explain, the validated plan DAG is printed
@@ -146,8 +148,8 @@ func main() {
 		worker   = flag.String("worker", "", "run as a task worker listening on this address (e.g. :7070; :0 picks a port) instead of running a workflow")
 		workers  = flag.String("workers", "", "comma-separated worker addresses to ship shard tasks to (started with -worker)")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto); also prints a per-node table and a predicted-vs-measured plan autopsy to stderr")
-		shipEWMA = flag.Bool("measured-ship", true, "price remote plans with the persisted measured ship EWMA when available (false: always use the calibrated loopback bound)")
-		skipEWMA = flag.Bool("measured-skip", true, "price bounded K-Means kernels with the persisted measured skip-rate EWMA when available (false: always use the calibration loop's skip rate)")
+		measShip = flag.Bool("measured-ship", true, "price remote plans with the persisted measured ship time when available (false: always use the calibrated loopback bound)")
+		measSkip = flag.Bool("measured-skip", true, "price bounded K-Means kernels with the persisted measured skip rates when available (false: always use the calibration loop's skip rate)")
 	)
 	flag.Parse()
 	// Explicitly-set flags pin optimizer decisions (see the precedence
@@ -170,6 +172,12 @@ func main() {
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "hpa-workflow: -in is required")
 		os.Exit(2)
+	}
+	if *scratch != "" {
+		if fi, err := os.Stat(*scratch); err != nil || !fi.IsDir() {
+			fmt.Fprintf(os.Stderr, "hpa-workflow: -scratch %s is not an existing directory\n", *scratch)
+			os.Exit(2)
+		}
 	}
 
 	var backend workflow.Backend = workflow.LocalBackend{}
@@ -277,19 +285,20 @@ func main() {
 		case *shards == -1:
 			pin = -1
 		}
+		var ship, skip *optimizer.Observed
+		if o, err := optimizer.LoadObserved(optimizer.ObservedFile(scratchDir)); err == nil {
+			if *measShip {
+				ship = &o
+			}
+			if *measSkip {
+				skip = &o
+			}
+		}
 		profile := optimizer.LocalProfile()
 		if workerCount > 0 {
-			shipDir := ""
-			if *shipEWMA {
-				shipDir = scratchDir
-			}
-			profile = optimizer.RPCProfileFrom(workerCount, model, shipDir)
+			profile = optimizer.RPCProfileFrom(workerCount, model, ship)
 		}
-		skipDir := ""
-		if *skipEWMA {
-			skipDir = scratchDir
-		}
-		opts := optimizer.Options{Procs: procs, Shards: pin, Backend: profile, Skip: optimizer.SkipFrom(skipDir)}
+		opts := optimizer.Options{Procs: procs, Shards: pin, Backend: profile, Skip: skip}
 		if explicit["dict"] {
 			opts.Dict = optimizer.PinDict(kind)
 		}
@@ -410,14 +419,11 @@ func main() {
 				// prices the bounded kernel with what this corpus actually
 				// achieves (skip=measured in -explain). Loading is what
 				// -measured-skip=false disables; recording is always on,
-				// like the ship EWMA and the cost-model cache.
+				// like the cost-model cache.
 				if ps.DocIterations > 0 {
-					path := optimizer.SkipEWMAFile(scratchDir)
-					prev, _ := optimizer.LoadSkipEWMA(path)
-					prev.Observe(optimizer.SkipRegime(ps.Variant, *k), ps.SkipRate(), ps.DocIterations)
-					if err := prev.Save(path); err != nil {
-						fmt.Fprintf(os.Stderr, "hpa-workflow: persist skip EWMA: %v\n", err)
-					}
+					recordObserved(scratchDir, func(o *optimizer.Observed) {
+						o.ObserveSkip(optimizer.SkipRegime(ps.Variant, *k), ps.SkipRate(), ps.DocIterations)
+					})
 				}
 			}
 		}
@@ -463,15 +469,21 @@ func main() {
 			// remote shards with real ship times (ship=measured in
 			// -explain). Loading is what -measured-ship=false disables;
 			// recording is always on, like the cost-model cache.
-			path := optimizer.ShipEWMAFile(scratchDir)
-			prev, _ := optimizer.LoadShipEWMA(path)
-			prev.Observe(ns, samples)
-			if err := prev.Save(path); err != nil {
-				fmt.Fprintf(os.Stderr, "hpa-workflow: persist ship EWMA: %v\n", err)
-			}
+			recordObserved(scratchDir, func(o *optimizer.Observed) { o.ObserveShip(ns, samples) })
 		}
 	}
 	fmt.Print(table.String())
+}
+
+// recordObserved folds one measurement into the observed-profile file
+// under dir. A missing or corrupt file starts a fresh profile.
+func recordObserved(dir string, observe func(*optimizer.Observed)) {
+	path := optimizer.ObservedFile(dir)
+	o, _ := optimizer.LoadObserved(path)
+	observe(&o)
+	if err := o.Save(path); err != nil {
+		fmt.Fprintf(os.Stderr, "hpa-workflow: persist observed profile: %v\n", err)
+	}
 }
 
 func fatal(err error) {

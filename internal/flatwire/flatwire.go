@@ -16,41 +16,30 @@
 // read returns zero values and Err() reports the first failure, so decoders
 // read the whole layout linearly and check once.
 //
-// # Codec versions
+// # Wire version
 //
-// Every flat payload carries a codec version byte immediately after its
-// magic, so layouts can evolve without breaking deployed decoders:
+// Every flat payload carries one version byte immediately after its
+// magic, and there is exactly one layout: Version. Sorted u32 index
+// arrays are delta-coded as unsigned varints (AppendDeltaU32s) — the
+// ascending indexes make the deltas small, so most entries shrink from
+// four bytes to one, and the delta chain restarts for every sub-array
+// (per document, per cluster), keeping windows independently decodable.
+// f64 value blocks are compressed losslessly (AppendF64sXor): each
+// value's IEEE 754 bits are XORed with the previous value's and stored as
+// a control byte plus only the meaningful middle bytes of the XOR word —
+// an exact-equality run costs one byte per value. Every value block starts
+// with a one-byte form marker; an encoder that would not shrink a block
+// stores it raw behind the marker, so a block never grows by more than
+// one byte. Bit patterns round-trip exactly: compatible with the engine's
+// bit-identity contract. Signed and unsigned fixed-width scalar blocks
+// (counts, assignments) stay raw: they are small next to the index/value
+// payload and decode allocation-free.
 //
-//	version         index blocks (sorted u32)   f64 value blocks
-//	CodecRaw   (1)  raw fixed-width             raw fixed-width
-//	CodecDelta (2)  delta-coded varints         raw fixed-width
-//	CodecXor   (3)  delta-coded varints         XOR-with-previous runs
-//
-// CodecRaw (1) is the original layout: sorted u32 index arrays and f64
-// value arrays as raw fixed-width blocks.
-//
-// CodecDelta (2) stores each sorted u32 index array delta-coded as
-// unsigned varints (AppendDeltaU32s): ascending indexes make the deltas
-// small, so most entries shrink from four bytes to one. The delta chain
-// restarts for every sub-array (per document, per cluster), keeping
-// windows independently decodable.
-//
-// CodecXor (3) keeps version 2's index coding and additionally compresses
-// f64 value blocks losslessly (AppendF64sXor): each value's IEEE 754 bits
-// are XORed with the previous value's, and the result is stored as a
-// control byte (leading/trailing zero-byte counts of the XOR word) plus
-// only its meaningful middle bytes — an exact-equality run costs one byte
-// per value, and values sharing sign, exponent and high mantissa bits
-// shed their common prefix. Every block starts with a one-byte form
-// marker; an encoder that would not shrink a block stores it raw behind
-// the marker, so a block never grows by more than one byte. Bit patterns
-// round-trip exactly: compatible with the engine's bit-identity contract.
-//
-// The compatibility rule: encoders emit the newest version; decoders
-// accept every version, dispatching on the byte — so a coordinator can
-// roll forward before its workers. Signed and unsigned fixed-width scalar
-// blocks (counts, assignments) stay raw in every version: they are small
-// next to the index/value payload and decode allocation-free.
+// Decoders reject any other version byte as malformed instead of
+// dispatching on it. Coordinator and workers run the same binary, and no
+// flat payload is ever persisted, so there is no older encoder to stay
+// compatible with; the byte remains so that a mismatched build fails
+// loudly instead of misreading a buffer.
 package flatwire
 
 import (
@@ -64,22 +53,16 @@ import (
 // wrap it, so callers can test errors.Is(err, ErrMalformed).
 var ErrMalformed = errors.New("flatwire: malformed buffer")
 
-// Codec layout versions (the byte after every payload magic — see the
-// package comment).
-const (
-	// CodecRaw is layout version 1: sorted u32 index arrays as raw
-	// fixed-width blocks.
-	CodecRaw byte = 1
-	// CodecDelta is layout version 2: sorted u32 index arrays delta-coded
-	// as unsigned varints, restarting per sub-array.
-	CodecDelta byte = 2
-	// CodecXor is layout version 3: version 2's index coding plus
-	// losslessly compressed f64 value blocks (AppendF64sXor).
-	CodecXor byte = 3
-)
+// Version is the flat layout version: the byte after every payload magic
+// (see the package comment). It stays 3, the number this layout has always
+// carried, so a build that still writes layout 1 or 2 is rejected rather
+// than misread.
+const Version byte = 3
 
-// AppendU8 appends one byte.
-func AppendU8(b []byte, v byte) []byte { return append(b, v) }
+// AppendHeader appends a payload's magic followed by the Version byte.
+func AppendHeader(b []byte, magic uint32) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, magic), Version)
+}
 
 // AppendUvarint appends v in LEB128 (7 bits per byte, high bit continues).
 func AppendUvarint(b []byte, v uint64) []byte {
@@ -386,6 +369,16 @@ func (r *Reader) Magic(want uint32, what string) {
 	got := r.U32()
 	if r.err == nil && got != want {
 		r.fail("%s: magic %#x, want %#x", what, got, want)
+	}
+}
+
+// Header consumes the header AppendHeader wrote: the magic, checked
+// against want, and the version byte, checked against Version.
+func (r *Reader) Header(want uint32, what string) {
+	r.Magic(want, what)
+	v := r.U8()
+	if r.err == nil && v != Version {
+		r.fail("%s: version %d, want %d", what, v, Version)
 	}
 }
 

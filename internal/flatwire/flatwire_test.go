@@ -157,7 +157,7 @@ func TestVarintRoundTrip(t *testing.T) {
 	for _, v := range vals {
 		b = AppendUvarint(b, v)
 	}
-	b = AppendU8(b, 0xab)
+	b = append(b, 0xab)
 	r := NewReader(b)
 	for i, want := range vals {
 		if got := r.Uvarint(); got != want {

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the CodecXor (version 3) f64 value-block coding:
+// This file implements the flat layout's f64 value-block coding:
 // lossless XOR-with-previous compression of IEEE 754 bit patterns.
 //
 // TF·IDF value blocks repeat heavily — every occurrence of a term with the
@@ -30,7 +30,7 @@ import (
 // so a value block never grows by more than the marker byte. Decoding
 // reconstructs the exact bit patterns either way.
 
-// Value-block form markers (the byte before every CodecXor f64 block).
+// Value-block form markers (the byte before every f64 value block).
 const (
 	// ValueBlockRaw marks a raw fixed-width block behind the marker.
 	ValueBlockRaw byte = 0
@@ -52,7 +52,7 @@ var (
 )
 
 // ValueBytes returns the process-wide (raw, coded) byte totals of every
-// CodecXor value block encoded or decoded so far. raw is what the blocks
+// XOR value block encoded or decoded so far. raw is what the blocks
 // would have occupied fixed-width; coded is what they took on the wire.
 func ValueBytes() (raw, coded int64) {
 	return valueRawBytes.Load(), valueCodedBytes.Load()
@@ -74,7 +74,7 @@ func xorF64Size(vs []float64) int {
 	return size
 }
 
-// AppendF64sXor appends len(vs) values as a CodecXor value block: a form
+// AppendF64sXor appends len(vs) values as an XOR value block: a form
 // marker, then either the XOR stream or — when XOR coding would not
 // shrink the block — the raw fixed-width bits. No length prefix: the
 // codec's layout carries counts. Bit patterns round-trip exactly.
@@ -109,13 +109,7 @@ func AppendF64sXor(b []byte, vs []float64) []byte {
 	return b
 }
 
-// SizeF64sXor bounds the encoded size of a CodecXor value block for
-// preallocation: the form marker plus at most nine bytes per value
-// (control byte + full word). The raw fallback keeps actual blocks at or
-// under 1 + 8·n, but capacity bounds use the stream's worst case.
-func SizeF64sXor(n int) int { return 1 + 9*n }
-
-// F64sXorInto consumes one CodecXor value block of len(dst) values,
+// F64sXorInto consumes one XOR value block of len(dst) values,
 // reconstructing the exact bit patterns. Truncated streams and malformed
 // control bytes fail the reader, never panic.
 func (r *Reader) F64sXorInto(dst []float64) {
@@ -160,7 +154,7 @@ func (r *Reader) F64sXorInto(dst []float64) {
 	}
 }
 
-// F64sXor consumes one CodecXor value block of n values into a fresh
+// F64sXor consumes one XOR value block of n values into a fresh
 // slice (nil when n is 0 and the block is well-formed).
 func (r *Reader) F64sXor(n int) []float64 {
 	if n == 0 {

@@ -9,52 +9,38 @@ import (
 	"hpa/internal/sparse"
 )
 
-// TestBlockSizeResolution pins the Block knob resolver: negative pins the
-// scalar kernel, 0 resolves by k, positive values pin that width.
+// TestBlockSizeResolution pins the width rule: 8 lanes from k >= 8, 4
+// from k >= 4, the scalar kernel (no layout) below.
 func TestBlockSizeResolution(t *testing.T) {
-	for _, tc := range []struct{ block, k, want int }{
-		{-1, 64, 0},
-		{0, 2, 0},
-		{0, 4, 4},
-		{0, 7, 4},
-		{0, 8, 8},
-		{0, 64, 8},
-		{2, 64, 2},
-		{8, 3, 8},
+	for _, tc := range []struct{ k, want int }{
+		{1, 0}, {3, 0}, {4, 4}, {7, 4}, {8, 8}, {13, 8}, {64, 8},
 	} {
-		if got := BlockSize(tc.block, tc.k); got != tc.want {
-			t.Errorf("BlockSize(%d, %d) = %d, want %d", tc.block, tc.k, got, tc.want)
+		if got := BlockSize(tc.k); got != tc.want {
+			t.Errorf("BlockSize(%d) = %d, want %d", tc.k, got, tc.want)
 		}
 	}
 	docs := sparseMix(40, 16, 3)
 	p := par.NewPool(1)
 	defer p.Close()
-	for _, tc := range []struct{ block, k, want int }{
-		{-1, 8, 0},
-		{0, 8, 8},
-		{0, 5, 4},
-		{2, 8, 2},
-	} {
-		c, err := New(docs, 16, p, Options{K: tc.k, Seed: 1, Block: tc.block})
+	for _, k := range []int{3, 5, 8} {
+		c, err := New(docs, 16, p, Options{K: k, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.BlockWidth(); got != tc.want {
-			t.Errorf("Block=%d k=%d: BlockWidth() = %d, want %d", tc.block, tc.k, got, tc.want)
+		if blocked := c.layout != nil; blocked != (BlockSize(k) > 0) {
+			t.Errorf("k=%d: clusterer has layout=%v, BlockSize=%d", k, blocked, BlockSize(k))
 		}
-	}
-	if _, err := New(docs, 16, p, Options{K: 4, Block: 9}); err == nil {
-		t.Errorf("Block=9 validated; widths above 8 must be rejected")
 	}
 }
 
 // TestBlockedAssignBitIdentical is the blocked-kernel contract at the
-// kmeans level: every lane width produces results bit-identical to the
-// pinned scalar kernel — assignments, centroids, counts, inertia history
-// and convergence — on a corpus that includes genuinely empty (zero-nnz)
-// documents, at cluster counts that are not multiples of any width (the
-// ragged tail block), with and without bound pruning in front of the
-// full-scan fallback.
+// kmeans level: the clusterer's blocked kernel produces results
+// bit-identical to the scalar kernel (AssignRange with a nil layout) —
+// assignments, centroids, counts, inertia history and convergence — on a
+// corpus that includes genuinely empty (zero-nnz) documents, at cluster
+// counts below the first width (k=3, scalar on both sides), on the 4-lane
+// width with a ragged tail (k=5) and on the 8-lane width with a ragged
+// tail (k=13), under every prune mode in front of the full-scan fallback.
 func TestBlockedAssignBitIdentical(t *testing.T) {
 	docs := sparseMix(300, 32, 13)
 	empties := 0
@@ -67,28 +53,30 @@ func TestBlockedAssignBitIdentical(t *testing.T) {
 	if empties == 0 {
 		t.Fatal("corpus has no empty documents; the test would not cover them")
 	}
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"k5-off", Options{K: 5, Seed: 2, Prune: PruneOff}},
-		{"k13-elkan-reseed", Options{K: 13, Seed: 4, Prune: PruneElkan, Empty: ReseedFarthest}},
+	p := par.NewPool(1)
+	defer p.Close()
+	run := func(opts Options, scalar bool) *Result {
+		c, err := New(docs, 32, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return iterateSharded(c, 4, scalar)
 	}
-	for _, tc := range cases {
-		scalarOpts := tc.opts
-		scalarOpts.Block = -1
-		scalar := shardedRun(t, docs, 32, scalarOpts, 4)
-		for _, block := range []int{0, 1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("%s/block=%d", tc.name, block), func(t *testing.T) {
-				opts := tc.opts
-				opts.Block = block
-				got := shardedRun(t, docs, 32, opts, 4)
+	for _, k := range []int{3, 5, 13} {
+		for _, prune := range []PruneMode{PruneAuto, PruneOff, PruneOn, PruneElkan} {
+			empty := KeepCentroid
+			if k == 13 {
+				empty = ReseedFarthest
+			}
+			t.Run(fmt.Sprintf("k=%d/prune=%v", k, prune), func(t *testing.T) {
+				opts := Options{K: k, Seed: uint64(k), Prune: prune, Empty: empty}
+				scalar, blocked := run(opts, true), run(opts, false)
 				// Wall-clock timing is the only field allowed to differ.
-				wantC, gotC := *scalar, *got
+				wantC, gotC := *scalar, *blocked
 				wantC.SeedWall, gotC.SeedWall = 0, 0
 				if !reflect.DeepEqual(&wantC, &gotC) {
-					t.Errorf("blocked result differs from scalar:\n  scalar: iters=%d inertia=%v\n  block:  iters=%d inertia=%v",
-						scalar.Iterations, scalar.Inertia, got.Iterations, got.Inertia)
+					t.Errorf("blocked result differs from scalar:\n  scalar:  iters=%d inertia=%v\n  blocked: iters=%d inertia=%v",
+						scalar.Iterations, scalar.Inertia, blocked.Iterations, blocked.Inertia)
 				}
 			})
 		}

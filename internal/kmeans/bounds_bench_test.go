@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"fmt"
 	"testing"
 
 	"hpa/internal/par"
@@ -76,15 +77,16 @@ func BenchmarkAssignPruned(b *testing.B) {
 
 // BenchmarkAssignBlocked measures what the blocked distance kernel buys on
 // the unpruned full scan: the same sharded clustering loop as
-// BenchmarkAssignPruned with bounds off, sweeping the lane width from the
-// pinned scalar kernel through 1, 2, 4 and 8 lanes, over the adversarial
-// overlapping sparse corpus at k=16 (every document pays the full k-way
-// scan every iteration, so the sweep isolates the kernel) and the blob
-// corpus at k=8. Results are bit-identical at every width (the
-// TestBlockedAssignBitIdentical contract), so any ns/op gap is pure
-// memory-traffic savings: one sweep of a document's nonzeros feeds B
-// register accumulators instead of B sweeps feeding one. Recorded
-// alongside BenchmarkAssignPruned in BENCH_pruned.json.
+// BenchmarkAssignPruned with bounds off, once on the scalar kernel (a nil
+// layout) and once on the blocked kernel at the width BlockSize derives
+// from k, over the adversarial overlapping sparse corpus at k=16 (every
+// document pays the full k-way scan every iteration, so the comparison
+// isolates the kernel) and the blob corpus at k=8. Results are
+// bit-identical either way (the TestBlockedAssignBitIdentical contract),
+// so any ns/op gap is pure memory-traffic savings: one sweep of a
+// document's nonzeros feeds B register accumulators instead of B sweeps
+// feeding one. Recorded alongside BenchmarkAssignPruned in
+// BENCH_pruned.json.
 func BenchmarkAssignBlocked(b *testing.B) {
 	blobDocs, _ := blobs(2000, 8, 32, 7)
 	datasets := []struct {
@@ -97,37 +99,23 @@ func BenchmarkAssignBlocked(b *testing.B) {
 		{"sparse-k16", sparseMix(1500, 64, 11), 64, Options{K: 16, Seed: 1, MaxIter: 30, Prune: PruneOff}},
 	}
 	const shards = 4
-	widths := []struct {
-		name  string
-		block int
-	}{{"scalar", -1}, {"b1", 1}, {"b2", 2}, {"b4", 4}, {"b8", 8}}
 	for _, ds := range datasets {
-		for _, w := range widths {
-			b.Run(ds.name+"/block="+w.name, func(b *testing.B) {
+		for _, scalar := range []bool{true, false} {
+			name := fmt.Sprintf("b%d", BlockSize(ds.opts.K))
+			if scalar {
+				name = "scalar"
+			}
+			b.Run(ds.name+"/block="+name, func(b *testing.B) {
 				pool := par.NewPool(1)
 				defer pool.Close()
-				opts := ds.opts
-				opts.Block = w.block
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c, err := New(ds.docs, ds.dim, pool, opts)
+					c, err := New(ds.docs, ds.dim, pool, ds.opts)
 					if err != nil {
 						b.Fatal(err)
 					}
-					accs := make([]*Accum, shards)
-					for q := range accs {
-						accs[q] = c.NewAccum()
-					}
-					for !c.Done() {
-						for q := range accs {
-							accs[q].Reset()
-							lo, hi := pario.PartitionRange(len(ds.docs), shards, q)
-							c.AssignShard(lo, hi, accs[q])
-						}
-						c.EndIteration(accs)
-					}
-					c.Finalize()
+					iterateSharded(c, shards, scalar)
 				}
 			})
 		}

@@ -47,6 +47,14 @@ func shardedRun(t *testing.T, docs []sparse.Vector, dim int, opts Options, shard
 	if err != nil {
 		t.Fatal(err)
 	}
+	return iterateSharded(c, shards, false)
+}
+
+// iterateSharded runs c to convergence through the sharded iterative path
+// and finalizes it. With scalar set, every shard's assignment runs
+// AssignRange with a nil layout — the scalar reference kernel — instead of
+// the clusterer's blocked layout.
+func iterateSharded(c *Clusterer, shards int, scalar bool) *Result {
 	accs := make([]*Accum, shards)
 	for q := range accs {
 		accs[q] = c.NewAccum()
@@ -54,8 +62,12 @@ func shardedRun(t *testing.T, docs []sparse.Vector, dim int, opts Options, shard
 	for !c.Done() {
 		for q := range accs {
 			accs[q].Reset()
-			lo, hi := pario.PartitionRange(len(docs), shards, q)
-			c.AssignShard(lo, hi, accs[q])
+			lo, hi := pario.PartitionRange(len(c.docs), shards, q)
+			if scalar {
+				AssignRange(lo, hi, c.opts.K, c.docs, c.docNorms, c.centroids, c.cnorms, nil, c.assign, c.dists, c.bp, accs[q])
+			} else {
+				c.AssignShard(lo, hi, accs[q])
+			}
 		}
 		c.EndIteration(accs)
 	}

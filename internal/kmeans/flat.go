@@ -17,22 +17,17 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic u32 | codec u8 | k u32
+//	magic u32 | version u8 | k u32
 //	inertia f64 | changed i64 | skipped i64
 //	counts i64 × k         (cluster member counts)
 //	nnz    u32 × k         (per-cluster entry counts)
 //	totalNNZ u64
-//	idx                    (all clusters' indices, concatenated)
-//	val    f64 × totalNNZ  (all clusters' values, concatenated)
+//	idx    delta varints   (each cluster's ascending indices, per cluster)
+//	val    xor blocks      (each cluster's values, one block per cluster)
 //
-// The codec byte selects the block forms: flatwire.CodecRaw ships raw
-// u32 × totalNNZ indices and raw f64 values; flatwire.CodecDelta
-// delta-codes each cluster's ascending indices as varints, restarting per
-// cluster, with raw values; flatwire.CodecXor (what EncodeFlat emits)
-// keeps the delta-coded indices and additionally XOR-compresses each
-// cluster's value block (flatwire.AppendF64sXor), restarting the XOR
-// chain per cluster so clusters stay independently decodable. Decoders
-// accept all three.
+// Each cluster's indices are delta-coded as varints and each value block
+// is XOR-compressed (flatwire.AppendF64sXor); both chains restart per
+// cluster, so clusters stay independently decodable.
 
 // accumWireMagic identifies a flat AccumWire buffer.
 const accumWireMagic uint32 = 0x48504157 // "HPAW"
@@ -51,8 +46,7 @@ func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 	if dst == nil {
 		dst = make([]byte, 0, size)
 	}
-	b := flatwire.AppendU32(dst, accumWireMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b := flatwire.AppendHeader(dst, accumWireMagic)
 	b = flatwire.AppendU32(b, uint32(k))
 	b = flatwire.AppendF64(b, w.Inertia)
 	b = flatwire.AppendI64(b, int64(w.Changed))
@@ -77,8 +71,7 @@ func (w *AccumWire) EncodeFlat(dst []byte) []byte {
 // only; FromWire still checks cluster count and dimension bounds against
 // the receiving accumulator.
 func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
-	r.Magic(accumWireMagic, "kmeans accum")
-	codec := r.U8()
+	r.Header(accumWireMagic, "kmeans accum")
 	k := r.Count(12) // ≥ 8 (counts) + 4 (nnz) bytes per cluster follow
 	w := &AccumWire{
 		Inertia: r.F64(),
@@ -91,9 +84,6 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}
-	if codec != flatwire.CodecRaw && codec != flatwire.CodecDelta && codec != flatwire.CodecXor {
-		return nil, fmt.Errorf("kmeans: decode accum: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
-	}
 	sum := 0
 	for _, c := range nnz {
 		sum += int(c)
@@ -103,45 +93,33 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 	}
 	idx := make([]uint32, total)
 	val := make([]float64, total)
-	if codec == flatwire.CodecRaw {
-		r.U32sInto(idx)
-	} else {
-		off := 0
-		for _, c := range nnz {
-			r.DeltaU32sInto(idx[off : off+int(c)])
-			off += int(c)
+	off := 0
+	for j, c := range nnz {
+		r.DeltaU32sInto(idx[off : off+int(c)])
+		if r.Err() != nil {
+			break
 		}
-	}
-	if r.Err() == nil {
 		// Every cluster's indices must be strictly ascending — the sparse
-		// accumulator invariant. The raw codec could otherwise smuggle in
-		// arbitrary orderings (the delta codec, duplicates) and corrupt the
-		// ordered reduce.
-		off := 0
-		for j, c := range nnz {
-			for e := 1; e < int(c); e++ {
-				if idx[off+e] <= idx[off+e-1] {
-					return nil, fmt.Errorf("kmeans: decode accum: %w: cluster %d indices not strictly ascending", flatwire.ErrMalformed, j)
-				}
+		// accumulator invariant. A zero delta would otherwise smuggle in a
+		// duplicate and corrupt the ordered reduce.
+		for e := off + 1; e < off+int(c); e++ {
+			if idx[e] <= idx[e-1] {
+				return nil, fmt.Errorf("kmeans: decode accum: %w: cluster %d indices not strictly ascending", flatwire.ErrMalformed, j)
 			}
-			off += int(c)
 		}
+		off += int(c)
 	}
-	if codec == flatwire.CodecXor {
-		off := 0
-		for _, c := range nnz {
-			r.F64sXorInto(val[off : off+int(c)])
-			off += int(c)
-		}
-	} else {
-		r.F64sInto(val)
+	off = 0
+	for _, c := range nnz {
+		r.F64sXorInto(val[off : off+int(c)])
+		off += int(c)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("kmeans: decode accum: %w", err)
 	}
 	w.Idx = make([][]uint32, k)
 	w.Val = make([][]float64, k)
-	off := 0
+	off = 0
 	for j, c := range nnz {
 		w.Idx[j] = idx[off : off+int(c) : off+int(c)]
 		w.Val[j] = val[off : off+int(c) : off+int(c)]

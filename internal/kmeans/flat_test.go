@@ -24,6 +24,13 @@ func flatTestAccum() *AccumWire {
 	}
 }
 
+// dupIndexAccum is a current-version accumulator whose cluster repeats an
+// index: the encoder writes it as a zero delta, which the decoder's
+// strictly-ascending check must reject.
+func dupIndexAccum() *AccumWire {
+	return &AccumWire{Idx: [][]uint32{{3, 3}}, Val: [][]float64{{1, 2}}, Counts: []int64{1}}
+}
+
 // TestAccumWireFlatRoundTrip: the flat codec must reproduce the
 // accumulator wire form bit-for-bit and agree with the gob path.
 func TestAccumWireFlatRoundTrip(t *testing.T) {
@@ -100,14 +107,13 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 		"short head": good[:6],
 	}
 	// Corrupt a per-cluster entry count: nnz block starts after
-	// magic(4)+codec(1)+k(4)+inertia(8)+changed(8)+skipped(8)+counts(8×3).
+	// magic(4)+version(1)+k(4)+inertia(8)+changed(8)+skipped(8)+counts(8×3).
 	bad := append([]byte{}, good...)
 	bad[4+1+4+8+8+8+24]++
 	cases["nnz sum mismatch"] = bad
-	// An unrecognized codec version byte must be rejected, not guessed at.
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
-	cases["unknown codec"] = badCodec
+	// An unrecognized version byte must be rejected, not guessed at.
+	cases["unknown version"] = withVersion(good, 99)
+	cases["duplicate index"] = dupIndexAccum().EncodeFlat(nil)
 
 	for name, b := range cases {
 		w, err := DecodeFlatAccumWire(b)
@@ -121,9 +127,9 @@ func TestAccumWireFlatMalformed(t *testing.T) {
 	}
 }
 
-// TestAccumWireFlatDeltaShrinks: the delta-varint idx block (CodecDelta)
-// must undercut what the raw u32 block (the PR 7 layout) would have
-// occupied — the byte win the codec version bump exists for.
+// TestAccumWireFlatDeltaShrinks: the delta-varint idx block must undercut
+// what a raw u32 block would occupy — the byte win the index coding
+// exists for.
 func TestAccumWireFlatDeltaShrinks(t *testing.T) {
 	w := &AccumWire{
 		Idx:    make([][]uint32, 4),

@@ -89,13 +89,14 @@
 // # Blocked distance kernel
 //
 // The full k-way scans inside AssignRange (the unpruned kernel and the
-// full-scan fallbacks of both bound variants) optionally run on a
-// transposed, block-major centroid layout (sparse.BlockLayout): one sweep
-// of a document's nonzeros accumulates dot products to B centroids in B
-// register-resident accumulators, instead of re-walking the Idx/Val
-// arrays once per centroid. Options.Block selects the width (0 resolves
-// by k: 8 lanes from k >= 8, 4 from k >= 4, scalar below; negative pins
-// the scalar kernel). The layout is re-transposed once per iteration —
+// full-scan fallbacks of both bound variants) run on a transposed,
+// block-major centroid layout (sparse.BlockLayout) whenever k is large
+// enough to fill one: one sweep of a document's nonzeros accumulates dot
+// products to B centroids in B register-resident accumulators, instead of
+// re-walking the Idx/Val arrays once per centroid. The width is not a
+// setting; BlockSize derives it from k alone (8 lanes from k >= 8, 4 from
+// k >= 4, the scalar kernel below) — narrower widths measured slower than
+// the scalar kernel. The layout is re-transposed once per iteration —
 // O(k·dim), amortized over the O(n·nnz·k) scan it accelerates.
 //
 // Blocking is bit-identical by construction, not by tolerance: each
@@ -104,10 +105,10 @@
 // the distance expression and argmin comparison sequence are unchanged —
 // only which centroid's accumulation advances first differs, which no
 // float result depends on. Assignments, inertia history, centroids and
-// convergence are therefore identical at every block size, shard count
-// and backend (the matrix test cycles block sizes to assert it), so the
-// block width never ships on the wire: coordinator and workers may even
-// pick different widths.
+// convergence are therefore identical to the scalar kernel's at every
+// shard count and backend (TestBlockedAssignBitIdentical compares the
+// blocked run against a nil-layout AssignRange run). The width never
+// ships on the wire: remote shard sessions call BlockSize with the same k.
 //
 // K-Means++ seeding scans are NOT blocked, deliberately: each of the k−1
 // seed rounds scans against the single most recently drawn seed, and the
@@ -175,22 +176,14 @@ type Options struct {
 	// convergence are unchanged; only the work to compute them shrinks.
 	// PruneAuto (the default) enables it when k is large enough to pay.
 	Prune PruneMode
-	// Block selects the blocked distance kernel's lane width (see the
-	// package comment): 0 resolves automatically by k, a negative value
-	// pins the scalar kernel, and 1..8 pin that width. Results are
-	// bit-identical at every width; values above 8 are rejected.
-	Block int
 }
 
-// BlockSize resolves the Block knob at cluster count k to the lane width
-// the kernel will run (0 = scalar). Exported so remote shard workers
-// resolve the same width the coordinator shipped.
-func BlockSize(block, k int) int {
+// BlockSize returns the blocked distance kernel's lane width at cluster
+// count k (0 = the scalar kernel; see the package comment). Clusterers and
+// remote shard sessions both call it, so every backend runs the same
+// kernel shape without shipping the width.
+func BlockSize(k int) int {
 	switch {
-	case block < 0:
-		return 0
-	case block > 0:
-		return block
 	case k >= 8:
 		return 8
 	case k >= 4:
@@ -219,9 +212,6 @@ func (o *Options) validate(docs int) error {
 	if o.DocNorms != nil && len(o.DocNorms) != docs {
 		return fmt.Errorf("%w: DocNorms has %d entries for %d documents",
 			ErrOptions, len(o.DocNorms), docs)
-	}
-	if o.Block > 8 {
-		return fmt.Errorf("%w: Block=%d, want at most 8", ErrOptions, o.Block)
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 100
@@ -424,7 +414,7 @@ func newClusterer(docs []sparse.Vector, dim int, pool *par.Pool, opts Options) (
 	for i := range c.assign {
 		c.assign[i] = -1
 	}
-	if b := BlockSize(opts.Block, opts.K); b > 0 {
+	if b := BlockSize(opts.K); b > 0 {
 		c.layout = sparse.NewBlockLayout(opts.K, dim, b)
 	}
 	if opts.Empty == ReseedFarthest {
@@ -525,7 +515,8 @@ func (c *Clusterer) AssignShard(lo, hi int, a *Accum) {
 // distance kernel (sparse.BlockLayout.DotsInto): one sweep of the
 // document's nonzeros yields all k dots, and the per-centroid distance
 // expression and argmin comparisons run unchanged over them — bit-identical
-// to the scalar path at every block size (see the package comment). The
+// to the scalar path (see the package comment). A nil layout runs the
+// scalar kernel — the reference the blocked kernel is tested against. The
 // layout must hold the same centroids the centroids slice does; the
 // pruned single-distance path stays scalar (one distTo is cheaper than a
 // block sweep).

@@ -126,18 +126,6 @@ func (c *Clusterer) PruneElkan() bool {
 	return c.opts.Prune.Variant(c.opts.K) == VariantElkan
 }
 
-// BlockWidth returns the resolved blocked-kernel lane width (0 = scalar
-// kernel) — shipped in a remote shard's session init so workers run the
-// width the coordinator resolved. Any width produces bit-identical
-// results; shipping it only keeps the work shape (and tests that pin a
-// width) consistent across backends.
-func (c *Clusterer) BlockWidth() int {
-	if c.layout == nil {
-		return 0
-	}
-	return c.layout.BlockSize()
-}
-
 // Drift returns the padded per-centroid drifts of the last EndIteration —
 // what a remote shard's BoundsPass decays its bounds by. Nil before the
 // first iteration (remote bounds start at −Inf and scan fully, so no decay

@@ -156,7 +156,7 @@ type CostModel struct {
 	// into KMeansAssignPrunedNS. Persisting it lets the measured-skip
 	// feedback loop decompose that rate into surviving full scans plus
 	// bounds-maintenance overhead and re-price the kernel at the skip rate
-	// real runs achieve (see SkipEWMA).
+	// real runs achieve (see Observed.Skip).
 	KMeansPrunedSkipRate float64 `json:"kmeans_pruned_skip_rate"`
 	// KMeansElkanSkipRate is KMeansPrunedSkipRate for the Elkan-bounded
 	// calibration loop.

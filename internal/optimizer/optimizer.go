@@ -55,8 +55,9 @@ type BackendProfile struct {
 	// decode), added to the executor task overhead for every shard task.
 	ShipNS float64
 	// ShipSource labels where ShipNS came from for Explain: "measured"
-	// (persisted EWMA of real worker round trips) or "loopback-bound" (the
-	// calibrated loopback lower bound). Empty for local profiles.
+	// (the recorded average of real worker round trips, Observed.Ship) or
+	// "loopback-bound" (the calibrated loopback lower bound). Empty for
+	// local profiles.
 	ShipSource string
 }
 
@@ -71,17 +72,14 @@ func RPCProfile(n int, m *CostModel) BackendProfile {
 }
 
 // RPCProfileFrom is RPCProfile with the measured-ship feedback loop closed:
-// when dir holds a persisted ship EWMA (see ShipEWMA) with at least one
+// when o carries a ship average (see Observed.Ship) with at least one
 // sample, that measured per-task ship time prices the plan instead of the
-// calibrated loopback bound. Pass dir == "" to skip the lookup (the
-// flag-off escape hatch).
-func RPCProfileFrom(n int, m *CostModel, dir string) BackendProfile {
+// calibrated loopback bound. Pass a nil o to skip it (the flag-off escape
+// hatch).
+func RPCProfileFrom(n int, m *CostModel, o *Observed) BackendProfile {
 	bp := RPCProfile(n, m)
-	if dir == "" {
-		return bp
-	}
-	if e, err := LoadShipEWMA(ShipEWMAFile(dir)); err == nil && e.Samples > 0 && e.ShipNS > 0 {
-		bp.ShipNS = e.ShipNS
+	if o != nil && o.Ship.Samples > 0 && o.Ship.Mean > 0 {
+		bp.ShipNS = o.Ship.Mean
 		bp.ShipSource = "measured"
 	}
 	return bp
@@ -171,12 +169,12 @@ type Options struct {
 	// ship can push the decision back toward fewer shards or bulk).
 	Backend BackendProfile
 	// Skip supplies measured skip rates for the bounded K-Means assignment
-	// kernels (see SkipFrom): when the regime a stage resolves to has been
-	// observed, its kernel is priced at the measured skip rate instead of
-	// the calibration loop's, and Explain labels the source skip=measured
-	// vs skip=calibrated. Nil keeps calibrated pricing (the flag-off
-	// escape hatch, like an empty dir for RPCProfileFrom).
-	Skip *SkipEWMA
+	// kernels (see Observed.Skip): when the regime a stage resolves to has
+	// been observed, its kernel is priced at the measured skip rate instead
+	// of the calibration loop's, and Explain labels the source
+	// skip=measured vs skip=calibrated. Nil keeps calibrated pricing (the
+	// flag-off escape hatch, like a nil profile for RPCProfileFrom).
+	Skip *Observed
 }
 
 // Optimize derives the physical configuration of plan from the input
@@ -691,18 +689,18 @@ func (r *rule) kmEffectiveRate(v kmeans.PruneVariant, k int) (float64, string) {
 		return rate, ""
 	}
 	full := r.m.KMeansAssignNS
-	if !bounded || full <= 0 || r.opts.Skip == nil {
+	if !bounded || full <= 0 {
 		return rate, "calibrated"
 	}
-	sr, ok := r.opts.Skip.Lookup(SkipRegime(v.String(), k))
-	if !ok || sr.Samples <= 0 {
+	skip, ok := r.opts.Skip.SkipRate(SkipRegime(v.String(), k))
+	if !ok {
 		return rate, "calibrated"
 	}
 	overhead := rate - full*(1-calSkip)
 	if overhead < 0 {
 		overhead = 0
 	}
-	return full*(1-sr.Rate) + overhead, "measured"
+	return full*(1-skip) + overhead, "measured"
 }
 
 // kmeansWork estimates the total assignment work of the K-Means stage in

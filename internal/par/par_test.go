@@ -252,6 +252,21 @@ func TestReducerResetRecyclesViews(t *testing.T) {
 	}
 }
 
+// TestForReduceCreatesViewsUpFront: ForReduce sizes a reducer to the
+// pool's Workers()+1 before the region runs, whatever the region's actual
+// concurrency turns out to be.
+func TestForReduceCreatesViewsUpFront(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		p := NewPool(workers)
+		r := NewReducer(func() *int { return new(int) }, nil)
+		ForReduce(p, r, 0, 1, 1, func(v *int, lo, hi int) { *v += hi - lo })
+		p.Close()
+		if got := r.Len(); got != workers+1 {
+			t.Errorf("pool of %d: %d views, want %d", workers, got, workers+1)
+		}
+	}
+}
+
 func TestGrainSizeBounds(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

@@ -7,19 +7,25 @@ import "sync"
 // into a single result after the parallel region.
 //
 // Unlike Cilk, views are not keyed by worker identity (which Go does not
-// expose) but claimed and released per loop chunk. Claim pops a free view or
-// creates one; Release returns it. Because a view is held exclusively
-// between Claim and Release, bodies may mutate it without synchronization.
-// The number of views created is bounded by the peak concurrency of the
-// region, not by the iteration count, so per-view state may be large (e.g.
-// a full set of centroid accumulators).
+// expose) but claimed and released per loop chunk. Claim pops a free view
+// (creating one when none is free); Release returns it. Because a view is held exclusively between Claim and
+// Release, bodies may mutate it without synchronization.
+//
+// ForReduce creates the pool's Workers()+1 views up front — the most
+// strands that can run a region's chunks at once: every worker plus the
+// goroutine joining the region — so its chunks never allocate a view, and
+// a reset reducer reuses exactly the same views in the next region at any
+// GOMAXPROCS. The view count is bounded by that, not by the iteration
+// count, so per-view state may be large (e.g. a full set of centroid
+// accumulators). Claim still creates a view when every existing one is
+// claimed, which happens only when it is used outside ForReduce, or when
+// goroutines beyond the pool's workers help run a region.
 type Reducer[T any] struct {
-	mu       sync.Mutex
-	free     []T
-	all      []T
-	newView  func() T
-	resetFn  func(T)
-	released int
+	mu      sync.Mutex
+	free    []T
+	all     []T
+	newView func() T
+	resetFn func(T)
 }
 
 // NewReducer creates a reducer whose views are produced by newView. If
@@ -29,6 +35,18 @@ type Reducer[T any] struct {
 // K-means iterations" optimization.
 func NewReducer[T any](newView func() T, reset func(T)) *Reducer[T] {
 	return &Reducer[T]{newView: newView, resetFn: reset}
+}
+
+// reserve creates views until the reducer holds at least n. It must only
+// be called outside parallel regions.
+func (r *Reducer[T]) reserve(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for len(r.all) < n {
+		v := r.newView()
+		r.all = append(r.all, v)
+		r.free = append(r.free, v)
+	}
 }
 
 // Claim returns a view for exclusive use by the calling strand.
@@ -85,9 +103,11 @@ func (r *Reducer[T]) Len() int {
 }
 
 // ForReduce runs body over subranges of [lo, hi) in parallel, handing each
-// invocation an exclusively-claimed reducer view. After it returns, the
-// partial results are available via r.Views for merging.
+// invocation an exclusively-claimed reducer view out of the Workers()+1
+// views it creates up front (see Reducer). After it returns, the partial
+// results are available via r.Views for merging.
 func ForReduce[T any](p *Pool, r *Reducer[T], lo, hi, grain int, body func(v T, lo, hi int)) {
+	r.reserve(p.Workers() + 1)
 	p.ForRange(lo, hi, grain, func(lo, hi int) {
 		v := r.Claim()
 		body(v, lo, hi)

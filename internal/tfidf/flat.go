@@ -18,22 +18,17 @@ import (
 //
 // Layout (little-endian):
 //
-//	magic u32 | codec u8 | lo u64 | hi u64 | dim u64 | dictFootprint i64
+//	magic u32 | version u8 | lo u64 | hi u64 | dim u64 | dictFootprint i64
 //	nDocs u32 | totalNNZ u64
 //	nnz   u32 × nDocs      (per-document entry counts)
-//	idx                    (all vectors' indices, concatenated)
-//	val   f64 × totalNNZ   (all vectors' values, concatenated)
-//	norms f64 × nDocs
+//	idx   delta varints    (each vector's ascending indices, per document)
+//	val   xor blocks       (each vector's values, one block per document)
+//	norms xor block        (nDocs values)
 //	names (u32 len + bytes) × nDocs
 //
-// The codec byte selects the block forms: flatwire.CodecRaw ships raw
-// u32 × totalNNZ indices and raw f64 values; flatwire.CodecDelta
-// delta-codes each vector's ascending indices as varints, restarting per
-// document, with raw values; flatwire.CodecXor (what EncodeFlat emits)
-// keeps the delta-coded indices and additionally XOR-compresses the f64
-// value and norm blocks (flatwire.AppendF64sXor) — the XOR chain restarts
-// per document, keeping documents independently decodable. Decoders
-// accept all three.
+// Each vector's indices are delta-coded as varints (the chain restarts per
+// document) and each value block is XOR-compressed
+// (flatwire.AppendF64sXor), so documents stay independently decodable.
 
 // vectorShardMagic identifies a flat VectorShard buffer.
 const vectorShardMagic uint32 = 0x48505653 // "HPVS"
@@ -64,8 +59,7 @@ func (vs *VectorShard) EncodeFlat(dst []byte) []byte {
 	if dst == nil {
 		dst = make([]byte, 0, size)
 	}
-	b := flatwire.AppendU32(dst, vectorShardMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b := flatwire.AppendHeader(dst, vectorShardMagic)
 	b = flatwire.AppendU64(b, uint64(vs.Lo))
 	b = flatwire.AppendU64(b, uint64(vs.Hi))
 	b = flatwire.AppendU64(b, uint64(vs.Dim))
@@ -94,8 +88,7 @@ func (vs *VectorShard) EncodeFlat(dst []byte) []byte {
 // arrays, subsliced per document.
 func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	r := flatwire.NewReader(b)
-	r.Magic(vectorShardMagic, "tfidf vector shard")
-	codec := r.U8()
+	r.Header(vectorShardMagic, "tfidf vector shard")
 	vs := &VectorShard{
 		Lo:  int(r.U64()),
 		Hi:  int(r.U64()),
@@ -108,9 +101,6 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
 	}
-	if codec != flatwire.CodecRaw && codec != flatwire.CodecDelta && codec != flatwire.CodecXor {
-		return nil, fmt.Errorf("tfidf: decode vector shard: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
-	}
 	sum := 0
 	for _, c := range nnz {
 		sum += int(c)
@@ -120,41 +110,30 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	}
 	idx := make([]uint32, total)
 	val := make([]float64, total)
-	if codec == flatwire.CodecRaw {
-		r.U32sInto(idx)
-	} else {
-		off := 0
-		for _, c := range nnz {
-			r.DeltaU32sInto(idx[off : off+int(c)])
-			off += int(c)
+	off := 0
+	for i, c := range nnz {
+		r.DeltaU32sInto(idx[off : off+int(c)])
+		if r.Err() != nil {
+			break
 		}
-	}
-	if r.Err() == nil {
 		// Every document's indices must be strictly ascending — the
-		// sparse.Vector invariant. The raw codec could otherwise smuggle in
-		// arbitrary orderings (the delta codec, duplicates) and break every
-		// kernel that binary-searches or merges the vectors.
-		off := 0
-		for i, c := range nnz {
-			for e := 1; e < int(c); e++ {
-				if idx[off+e] <= idx[off+e-1] {
-					return nil, fmt.Errorf("tfidf: decode vector shard: %w: document %d indices not strictly ascending", flatwire.ErrMalformed, i)
-				}
+		// sparse.Vector invariant. A zero delta would otherwise smuggle in
+		// a duplicate and break every kernel that binary-searches or
+		// merges the vectors.
+		for e := off + 1; e < off+int(c); e++ {
+			if idx[e] <= idx[e-1] {
+				return nil, fmt.Errorf("tfidf: decode vector shard: %w: document %d indices not strictly ascending", flatwire.ErrMalformed, i)
 			}
-			off += int(c)
 		}
+		off += int(c)
 	}
-	if codec == flatwire.CodecXor {
-		off := 0
-		for _, c := range nnz {
-			r.F64sXorInto(val[off : off+int(c)])
-			off += int(c)
-		}
-	} else {
-		r.F64sInto(val)
+	off = 0
+	for _, c := range nnz {
+		r.F64sXorInto(val[off : off+int(c)])
+		off += int(c)
 	}
 	vs.Vectors = make([]sparse.Vector, n)
-	off := 0
+	off = 0
 	for i, c := range nnz {
 		vs.Vectors[i] = sparse.Vector{
 			Idx: idx[off : off+int(c) : off+int(c)],
@@ -162,11 +141,7 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 		}
 		off += int(c)
 	}
-	if codec == flatwire.CodecXor {
-		vs.Norms = r.F64sXor(n)
-	} else {
-		vs.Norms = r.F64s(n)
-	}
+	vs.Norms = r.F64sXor(n)
 	vs.DocNames = make([]string, n)
 	for i := range vs.DocNames {
 		vs.DocNames[i] = r.String()
@@ -182,7 +157,7 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 //
 // Layout (little-endian):
 //
-//	magic u32 | codec u8 | lo u64 | hi u64 | nDocs u32
+//	magic u32 | version u8 | lo u64 | hi u64 | nDocs u32
 //	nWords u32 × nDocs              (per-document term counts)
 //	words  (u32 len + bytes) × Σ    (all documents' words, concatenated)
 //	counts u32 × Σ                  (all documents' frequencies)
@@ -191,12 +166,10 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 //	df marker u32                   (0 = omitted, 1 = present)
 //	[nDF u32 | dfWords (u32 len + bytes) × nDF | dfCounts u32 × nDF]
 //
-// Term frequencies are unsorted, so the codec byte is always
-// flatwire.CodecRaw here; it exists for the same versioning discipline as
-// the index-carrying payloads.
+// Term frequencies are unsorted, so every block here is raw; the version
+// byte is the same one every flat payload carries.
 func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
-	b := flatwire.AppendU32(dst, wireShardCountsMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecRaw)
+	b := flatwire.AppendHeader(dst, wireShardCountsMagic)
 	b = flatwire.AppendU64(b, uint64(w.Lo))
 	b = flatwire.AppendU64(b, uint64(w.Hi))
 	b = flatwire.AppendU32(b, uint32(len(w.Docs)))
@@ -233,11 +206,10 @@ func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
 }
 
 // DecodeFlatWireShardCounts decodes a flat count reply, validating the
-// layout (magic, codec, counts, truncation, trailing bytes).
+// layout (magic, version, counts, truncation, trailing bytes).
 func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 	r := flatwire.NewReader(b)
-	r.Magic(wireShardCountsMagic, "tfidf shard counts")
-	codec := r.U8()
+	r.Header(wireShardCountsMagic, "tfidf shard counts")
 	w := &WireShardCounts{
 		Lo: int(r.U64()),
 		Hi: int(r.U64()),
@@ -246,9 +218,6 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 	nwords := r.U32s(n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
-	}
-	if codec != flatwire.CodecRaw {
-		return nil, fmt.Errorf("tfidf: decode shard counts: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
 	}
 	w.Docs = make([]WireDocCounts, n)
 	for i := range w.Docs {
@@ -305,19 +274,14 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 //
 // Layout (little-endian):
 //
-//	magic u32 | codec u8 | numDocs u64 | nTerms u32
-//	df    u32 × nTerms  (CodecRaw) | uvarint × nTerms (CodecXor)
+//	magic u32 | version u8 | numDocs u64 | nTerms u32
+//	df    uvarint × nTerms
 //	terms (u32 len + bytes) × nTerms
 //
-// The codec byte selects the DF block form: flatwire.CodecRaw ships raw
-// u32s; flatwire.CodecXor (what EncodeFlat emits) varint-codes them —
-// document frequencies follow a Zipfian tail of small counts, so most
-// entries shrink from four bytes to one. (There are no sorted index
-// arrays here, so version 2 was never emitted for this payload; the
-// decoder accepts it as raw for uniformity.)
+// Document frequencies follow a Zipfian tail of small counts, so
+// varint-coding them shrinks most entries from four bytes to one.
 func (w *WireGlobal) EncodeFlat(dst []byte) []byte {
-	b := flatwire.AppendU32(dst, wireGlobalMagic)
-	b = flatwire.AppendU8(b, flatwire.CodecXor)
+	b := flatwire.AppendHeader(dst, wireGlobalMagic)
 	b = flatwire.AppendU64(b, uint64(w.NumDocs))
 	b = flatwire.AppendU32(b, uint32(len(w.Terms)))
 	for _, df := range w.DF {
@@ -330,30 +294,22 @@ func (w *WireGlobal) EncodeFlat(dst []byte) []byte {
 }
 
 // DecodeFlatWireGlobal decodes a flat global term table, validating the
-// layout (magic, codec, counts, truncation, trailing bytes).
+// layout (magic, version, counts, truncation, trailing bytes).
 func DecodeFlatWireGlobal(b []byte) (*WireGlobal, error) {
 	r := flatwire.NewReader(b)
-	r.Magic(wireGlobalMagic, "tfidf global table")
-	codec := r.U8()
+	r.Header(wireGlobalMagic, "tfidf global table")
 	w := &WireGlobal{NumDocs: int(r.U64())}
 	n := r.Count(4)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode global table: %w", err)
 	}
-	if codec != flatwire.CodecRaw && codec != flatwire.CodecDelta && codec != flatwire.CodecXor {
-		return nil, fmt.Errorf("tfidf: decode global table: %w: unknown codec version %d", flatwire.ErrMalformed, codec)
-	}
 	w.DF = make([]uint32, n)
-	if codec == flatwire.CodecXor {
-		for i := range w.DF {
-			v := r.Uvarint()
-			if v > 0xffffffff {
-				return nil, fmt.Errorf("tfidf: decode global table: %w: DF %d overflows uint32", flatwire.ErrMalformed, v)
-			}
-			w.DF[i] = uint32(v)
+	for i := range w.DF {
+		v := r.Uvarint()
+		if v > 0xffffffff {
+			return nil, fmt.Errorf("tfidf: decode global table: %w: DF %d overflows uint32", flatwire.ErrMalformed, v)
 		}
-	} else {
-		r.U32sInto(w.DF)
+		w.DF[i] = uint32(v)
 	}
 	w.Terms = make([]string, n)
 	for i := range w.Terms {

@@ -28,6 +28,18 @@ func flatTestShard() *VectorShard {
 	}
 }
 
+// dupIndexShard is a current-version shard whose document repeats an
+// index: the encoder writes it as a zero delta, which the decoder's
+// strictly-ascending check must reject.
+func dupIndexShard() *VectorShard {
+	return &VectorShard{
+		Lo: 0, Hi: 1, Dim: 10,
+		Vectors:  []sparse.Vector{{Idx: []uint32{4, 4}, Val: []float64{1, 2}}},
+		Norms:    []float64{5},
+		DocNames: []string{"dup"},
+	}
+}
+
 // TestVectorShardFlatRoundTrip: the flat codec must reproduce the shard
 // bit-for-bit, and agree exactly with what the gob path would have carried.
 func TestVectorShardFlatRoundTrip(t *testing.T) {
@@ -96,14 +108,13 @@ func TestVectorShardFlatMalformed(t *testing.T) {
 	}
 	// Corrupt the per-document entry counts so their sum disagrees with the
 	// header total: nnz block starts after
-	// magic(4)+codec(1)+3×u64(24)+i64(8)+n(4)+total(8).
+	// magic(4)+version(1)+3×u64(24)+i64(8)+n(4)+total(8).
 	bad := append([]byte{}, good...)
 	bad[4+1+24+8+4+8]++
 	cases["nnz sum mismatch"] = bad
-	// An unrecognized codec version byte must be rejected, not guessed at.
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
-	cases["unknown codec"] = badCodec
+	// An unrecognized version byte must be rejected, not guessed at.
+	cases["unknown version"] = withVersion(good, 99)
+	cases["duplicate index"] = dupIndexShard().EncodeFlat(nil)
 
 	for name, b := range cases {
 		vs, err := DecodeFlatVectorShard(b)
@@ -192,8 +203,6 @@ func TestWireShardCountsFlatRoundTrip(t *testing.T) {
 // error, never a panic or a silently wrong count set.
 func TestWireShardCountsFlatMalformed(t *testing.T) {
 	good := flatTestCounts(true).EncodeFlat(nil)
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
 	// A bogus names marker: re-encode the nameless variant (marker 0 directly
 	// follows the counts block) and flip its marker to an undefined value.
 	badMarker := flatTestCounts(true)
@@ -202,13 +211,13 @@ func TestWireShardCountsFlatMalformed(t *testing.T) {
 	dfLen := 4 + 4 + flatwire.SizeString("alpha") + flatwire.SizeString("beta") + 2*4
 	badMarkerBuf[len(badMarkerBuf)-dfLen-4] = 9 // names marker, little-endian low byte
 	cases := map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte{1, 2, 3, 4}, good[4:]...),
-		"truncated":     good[:len(good)-3],
-		"trailing":      append(append([]byte{}, good...), 0),
-		"short header":  good[:9],
-		"unknown codec": badCodec,
-		"bad marker":    badMarkerBuf,
+		"empty":           {},
+		"bad magic":       append([]byte{1, 2, 3, 4}, good[4:]...),
+		"truncated":       good[:len(good)-3],
+		"trailing":        append(append([]byte{}, good...), 0),
+		"short header":    good[:9],
+		"unknown version": withVersion(good, 99),
+		"bad marker":      badMarkerBuf,
 	}
 	for name, b := range cases {
 		w, err := DecodeFlatWireShardCounts(b)
@@ -258,15 +267,13 @@ func TestWireGlobalFlatRoundTrip(t *testing.T) {
 // TestWireGlobalFlatMalformed: structural corruption fails with an error.
 func TestWireGlobalFlatMalformed(t *testing.T) {
 	good := (&WireGlobal{Terms: []string{"a", "b"}, DF: []uint32{1, 2}, NumDocs: 2}).EncodeFlat(nil)
-	badCodec := append([]byte{}, good...)
-	badCodec[4] = 99
 	cases := map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte{5, 6, 7, 8}, good[4:]...),
-		"truncated":     good[:len(good)-2],
-		"trailing":      append(append([]byte{}, good...), 0),
-		"short header":  good[:7],
-		"unknown codec": badCodec,
+		"empty":           {},
+		"bad magic":       append([]byte{5, 6, 7, 8}, good[4:]...),
+		"truncated":       good[:len(good)-2],
+		"trailing":        append(append([]byte{}, good...), 0),
+		"short header":    good[:7],
+		"unknown version": withVersion(good, 99),
 	}
 	for name, b := range cases {
 		w, err := DecodeFlatWireGlobal(b)

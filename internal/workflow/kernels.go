@@ -337,11 +337,6 @@ type KMShardInit struct {
 	// coordinator's variant: the two variants skip different documents, and
 	// a skip changes which float operations run.
 	Elkan bool
-	// Block is the coordinator's resolved blocked-kernel lane width
-	// (kmeans.Clusterer.BlockWidth; 0 = scalar). Unlike Prune/Elkan this
-	// never affects results — any width is bit-identical — it only keeps
-	// the kernel shape consistent across backends.
-	Block int
 }
 
 // KMAssignTaskArgs are the kmeans.assign kernel arguments — one shard's
@@ -430,8 +425,8 @@ func kmSessionFor(id string, init *KMShardInit) (*kmSession, error) {
 				s.bp.EnableElkan(init.K)
 			}
 		}
-		if init.Block > 0 {
-			s.layout = sparse.NewBlockLayout(init.K, init.Dim, init.Block)
+		if b := kmeans.BlockSize(init.K); b > 0 {
+			s.layout = sparse.NewBlockLayout(init.K, init.Dim, b)
 		}
 		kmSessions.m[id] = s
 	}
@@ -464,8 +459,9 @@ func runKMAssignKernel(a *KMAssignTaskArgs) (*KMAssignReply, error) {
 	}
 	s.acc.Reset()
 	if s.layout != nil {
-		// Re-transpose this iteration's shipped centroids; block width never
-		// changes results, so the layout is purely a work-shape choice.
+		// Re-transpose this iteration's shipped centroids; the blocked
+		// kernel never changes results, so the layout is purely a
+		// work-shape choice.
 		s.layout.Fill(a.Centroids)
 	}
 	kmeans.AssignRange(0, n, s.k, s.docs, s.norms, a.Centroids, a.CNorms, s.layout, a.Assign, s.dists, s.bp, s.acc)

@@ -338,7 +338,6 @@ func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, boo
 			WantDists: s.c.TracksDists(),
 			Prune:     s.c.PruneEnabled(),
 			Elkan:     s.c.PruneElkan(),
-			Block:     s.c.BlockWidth(),
 		}
 	}
 	seeding := s.seeding
@@ -408,7 +407,6 @@ func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 			WantDists: s.c.TracksDists(),
 			Prune:     s.c.PruneEnabled(),
 			Elkan:     s.c.PruneElkan(),
-			Block:     s.c.BlockWidth(),
 		}
 	}
 	acc := s.accs[idx]

@@ -58,11 +58,10 @@ func runTFKMPruneOn(t *testing.T, src pario.Source, shards int, backend Backend,
 // level, where synthetic data iterates long enough to open a gap — this
 // corpus converges in a couple of iterations).
 //
-// Both baselines pin the scalar distance kernel (Block: -1) while the
-// matrix cells cycle the blocked kernel's lane widths {1, 2, 4, 8}
-// deterministically, so every cell's bit-for-bit comparison doubles as
-// the blocked-kernel equality proof — at k=13, deliberately not a
-// multiple of any width, so the ragged tail lanes are exercised too.
+// Every run uses the blocked distance kernel at the width k=13 derives
+// (8 lanes, ragged tail) — on the coordinator and in the worker sessions
+// alike, since both call kmeans.BlockSize. Its equality with the scalar
+// kernel is asserted at the kmeans level (TestBlockedAssignBitIdentical).
 // Under -short (the CI race run) the matrix shrinks to one shard count
 // and one empty policy — still covering sharded seeding on both backends
 // under the race detector.
@@ -89,13 +88,11 @@ func TestPrunedAssignMatchesBulk(t *testing.T) {
 		{kmeans.PruneOn, "hamerly"},
 		{kmeans.PruneElkan, "elkan"},
 	}
-	blocks := []int{1, 2, 4, 8}
-	cell := 0
 	for _, empty := range empties {
 		// Shards: 0 keeps the single-operator bulk path: seeding scans run
 		// serially inside the clusterer, not as executor prepare tasks.
 		bulk := runTFKMPruneOn(t, src, 0, LocalBackend{}, scratch,
-			kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: kmeans.PruneOff, Block: -1})
+			kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: kmeans.PruneOff})
 		br := bulk.Clustering.Result
 		if br.Prune.Enabled {
 			t.Fatalf("empty=%v: bulk PruneOff run reports bounds enabled", empty)
@@ -104,19 +101,17 @@ func TestPrunedAssignMatchesBulk(t *testing.T) {
 		for _, shards := range shardCounts {
 			// Per-shard-count bit-exact reference: the unpruned local run.
 			ref := runTFKMPruneOn(t, src, shards, LocalBackend{}, scratch,
-				kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: kmeans.PruneOff, Block: -1}).Clustering.Result
+				kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: kmeans.PruneOff}).Clustering.Result
 			backends := []struct {
 				name string
 				b    Backend
 			}{{"local", LocalBackend{}}, {"rpc", pipeBackend(t, 2)}}
 			for _, bk := range backends {
 				for _, m := range modes {
-					block := blocks[cell%len(blocks)]
-					cell++
 					rep := runTFKMPruneOn(t, src, shards, bk.b, scratch,
-						kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: m.mode, Block: block})
+						kmeans.Options{K: 13, Seed: 3, Empty: empty, Prune: m.mode})
 					pr := rep.Clustering.Result
-					tag := fmt.Sprintf("empty=%v shards=%d backend=%s prune=%s block=%d", empty, shards, bk.name, m.variant, block)
+					tag := fmt.Sprintf("empty=%v shards=%d backend=%s prune=%s", empty, shards, bk.name, m.variant)
 
 					// Against the serial-seeded bulk baseline: discrete
 					// outcomes exact, centroids up to reduction order.
