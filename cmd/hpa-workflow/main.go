@@ -49,10 +49,13 @@
 // -worker ADDR turns the binary into a task worker: it listens on ADDR
 // (e.g. ":7070", or ":0" to pick a free port — the bound address is
 // printed as "worker listening on HOST:PORT"), serves the kernel registry
-// (TF/IDF count and transform shards, K-Means assignment iterations) over
-// net/rpc + gob, and never runs a workflow itself. Workers read corpus
-// shards by path, so they need the same filesystem view as the
-// coordinator.
+// (TF/IDF count and transform shards, K-Means assignment iterations and
+// seed scans) over the task wire's length-prefixed flat frames, and never
+// runs a workflow itself. Workers read corpus shards by path, so they
+// need the same filesystem view as the coordinator. A worker keeps a
+// K-Means loop's sessions and centroid tables only until the coordinator
+// releases them at the loop's end (or, if the coordinator dies, until
+// they sit idle for ten minutes).
 //
 // -workers addr,addr makes the run ship its serializable shard tasks to
 // those workers (round-robin, with loop shards pinned to one worker so
@@ -114,7 +117,6 @@ import (
 
 	"hpa/internal/corpus"
 	"hpa/internal/dict"
-	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/metrics"
 	"hpa/internal/obs"
@@ -450,15 +452,15 @@ func main() {
 	// shipping a task actually cost next to the model's calibrated loopback
 	// lower bound, so stale or unrepresentative models are visible. The
 	// value-compression line reports what the flat codec's XOR value blocks
-	// saved over raw fixed-width floats across every payload shipped or
-	// absorbed this run.
+	// saved over raw fixed-width floats across every task argument and
+	// reply this run shipped.
 	if rpcBackend != nil {
-		if raw, coded := flatwire.ValueBytes(); raw > 0 {
+		if raw, coded := rpcBackend.ValueBytes(); raw > 0 {
 			fmt.Fprintf(os.Stderr, "wire values: %s raw -> %s coded (%.1f%% of raw, xor value blocks)\n",
 				metrics.FormatBytes(raw), metrics.FormatBytes(coded), 100*float64(coded)/float64(raw))
 		}
 		if ns, samples := rpcBackend.MeasuredShipNS(); samples > 0 {
-			line := fmt.Sprintf("rpc ship: measured %s/task (EWMA over %d tasks)",
+			line := fmt.Sprintf("rpc ship: measured %s/task, worker compute excluded (EWMA over %d tasks)",
 				time.Duration(ns).Round(time.Microsecond), samples)
 			if model != nil {
 				line += fmt.Sprintf(" vs model RPCShipNS %s/task (loopback lower bound)",

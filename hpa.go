@@ -30,13 +30,13 @@
 //     chosen and why;
 //   - pluggable execution backends behind a serializable worker contract:
 //     shard tasks run in-process by default (LocalBackend) or ship to
-//     worker processes over net/rpc + gob (RPCBackend + the hpa-workflow
-//     -worker mode) — TF/IDF count and transform shards and the K-Means
-//     assignment loop's per-iteration shard tasks and the K-Means++
-//     seeding scan rounds can leave the process, while splits,
-//     reductions, seed draws and output stay on the coordinator, whose
-//     shard-index-ordered merges keep results bit-identical across
-//     backends;
+//     worker processes as length-prefixed frames of flat arguments and
+//     replies (RPCBackend + the hpa-workflow -worker mode) — TF/IDF count
+//     and transform shards and the K-Means assignment loop's
+//     per-iteration shard tasks and the K-Means++ seeding scan rounds can
+//     leave the process, while splits, reductions, seed draws and output
+//     stay on the coordinator, whose shard-index-ordered merges keep
+//     results bit-identical across backends;
 //   - selectable dictionary data structures (red-black tree vs hash
 //     table) whose trade-offs differ per workflow phase;
 //   - parallel file input with an optional storage-device simulator;
@@ -372,9 +372,10 @@ type (
 	// LocalBackend runs every task in-process on the pool — the zero-copy
 	// default.
 	LocalBackend = workflow.LocalBackend
-	// RPCBackend ships serializable shard tasks to worker processes over
-	// net/rpc + gob; non-serializable tasks (reductions, seeding, splits)
-	// stay on the coordinator.
+	// RPCBackend ships serializable shard tasks to worker processes as
+	// flat frames over one connection per worker; non-serializable tasks
+	// (reductions, seed draws, splits) stay on the coordinator. Workers
+	// free a K-Means loop's state when the loop ends.
 	RPCBackend = workflow.RPCBackend
 	// WorkerRemoteTask is the serializable shard-task descriptor custom
 	// Remotable operators return.

@@ -146,21 +146,51 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// AppendBytes appends a u32 length prefix and the bytes.
+func AppendBytes(b, p []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+	return append(b, p...)
+}
+
+// AppendBool appends v as one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 // SizeString returns the encoded size of a length-prefixed string.
 func SizeString(s string) int { return 4 + len(s) }
 
-// Reader consumes a flat buffer linearly with a sticky error.
+// Reader consumes a flat buffer linearly with a sticky error. It also
+// counts the XOR value blocks it decodes (ValueBytes), so a caller can
+// attribute value-block traffic to the one call whose buffer it read.
 type Reader struct {
 	b   []byte
 	off int
 	err error
+
+	valRaw, valCoded int64
 }
 
 // NewReader wraps a buffer for consumption.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
+// ValueBytes returns the raw and coded sizes of every XOR value block this
+// reader decoded: raw is what the blocks would occupy fixed-width, coded
+// is what they took in the buffer (form markers included).
+func (r *Reader) ValueBytes() (raw, coded int64) { return r.valRaw, r.valCoded }
+
+// Remaining returns how many bytes are left to consume.
+func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
 // Err returns the first consume failure, or nil.
 func (r *Reader) Err() error { return r.err }
+
+// Fail records a decoder's own validation failure as the reader's first
+// error (wrapping ErrMalformed), unless an earlier one is already sticky.
+func (r *Reader) Fail(format string, args ...any) { r.fail(format, args...) }
 
 // fail records the first error.
 func (r *Reader) fail(format string, args ...any) {
@@ -306,8 +336,10 @@ func (r *Reader) U8() byte {
 	return s[0]
 }
 
-// Uvarint consumes one LEB128-coded value, failing on truncation and on
-// encodings longer than a uint64 (10 bytes).
+// Uvarint consumes one LEB128-coded value, failing on truncation, on
+// encodings longer than a uint64 (10 bytes) and on non-minimal encodings
+// (a trailing zero byte), so every accepted value re-encodes to the same
+// bytes.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -326,6 +358,10 @@ func (r *Reader) Uvarint() uint64 {
 		}
 		v |= uint64(c&0x7f) << shift
 		if c < 0x80 {
+			if c == 0 && shift > 0 {
+				r.fail("non-minimal varint at offset %d", r.off-1)
+				return 0
+			}
 			return v
 		}
 		if shift == 63 {
@@ -362,6 +398,23 @@ func (r *Reader) String() string {
 		return ""
 	}
 	return string(s)
+}
+
+// Bytes consumes a length-prefixed byte string (AppendBytes) and returns
+// it as a sub-slice of the buffer, without copying.
+func (r *Reader) Bytes() []byte {
+	n := r.Count(1)
+	return r.take(n)
+}
+
+// Bool consumes one byte written by AppendBool; any value other than 0
+// or 1 is malformed.
+func (r *Reader) Bool() bool {
+	c := r.U8()
+	if c > 1 {
+		r.fail("bool byte %d", c)
+	}
+	return c == 1
 }
 
 // Magic consumes a u32 and checks it against want.

@@ -172,15 +172,16 @@ func TestVarintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVarintMalformed: truncated and over-long encodings fail with
-// ErrMalformed, never a hang or a silently wrong value.
+// TestVarintMalformed: truncated, over-long and non-minimal encodings fail
+// with ErrMalformed, never a hang or a silently wrong value.
 func TestVarintMalformed(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":      {},
-		"truncated":  {0x80, 0x80},
-		"overlong":   {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
-		"overflow":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // 2^70-ish
-		"max-plus-1": {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02},
+		"empty":       {},
+		"truncated":   {0x80, 0x80},
+		"overlong":    {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"overflow":    {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // 2^70-ish
+		"max-plus-1":  {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02},
+		"non-minimal": {0x81, 0x00}, // 1 written in two bytes
 	}
 	for name, b := range cases {
 		r := NewReader(b)
@@ -241,5 +242,38 @@ func TestDeltaU32s(t *testing.T) {
 	r.DeltaU32sInto(make([]uint32, 2))
 	if !errors.Is(r.Err(), ErrMalformed) {
 		t.Errorf("wrapped delta not rejected: %v", r.Err())
+	}
+}
+
+// TestValueBlocksCanonical: a value block is accepted only in the form
+// and with the control bytes the encoder writes, and the reader counts
+// every block it decodes.
+func TestValueBlocksCanonical(t *testing.T) {
+	ones := []float64{1, 1, 1, 1}
+	good := AppendF64sXor(nil, ones)
+	if good[0] != ValueBlockXor {
+		t.Fatalf("repeated values encoded in form %d", good[0])
+	}
+	r := NewReader(good)
+	r.F64sXorInto(make([]float64, len(ones)))
+	if raw, coded := r.ValueBytes(); r.Err() != nil || raw != 32 || coded != int64(len(good)) {
+		t.Fatalf("value bytes %d raw / %d coded (err %v), want 32 / %d", raw, coded, r.Err(), len(good))
+	}
+	// 1.0 is 0x3ff0000000000000: six trailing zero bytes, one leading.
+	cases := map[string]struct {
+		n int
+		b []byte
+	}{
+		"raw form that XOR-codes smaller": {4, AppendF64s([]byte{ValueBlockRaw}, ones)},
+		"xor form that does not shrink":   {0, []byte{ValueBlockXor}},
+		"undercounted trailing zeros":     {1, []byte{ValueBlockXor, 0x05, 0x00, 0xf0, 0x3f}},
+		"zero word as a control byte":     {1, []byte{ValueBlockXor, 0x70, 0x00}},
+	}
+	for name, c := range cases {
+		r := NewReader(c.b)
+		r.F64sXorInto(make([]float64, c.n))
+		if !errors.Is(r.Err(), ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, r.Err())
+		}
 	}
 }

@@ -3,7 +3,6 @@ package flatwire
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 )
 
 // This file implements the flat layout's f64 value-block coding:
@@ -29,6 +28,13 @@ import (
 // chosen by the encoder whenever XOR coding would not shrink the block —
 // so a value block never grows by more than the marker byte. Decoding
 // reconstructs the exact bit patterns either way.
+//
+// Decoding is canonical: the decoder accepts exactly the bytes the encoder
+// writes for the values it reconstructs. A block in the form the encoder
+// would not have picked, a control byte whose L or T undercounts the zero
+// bytes (a stored edge byte of zero), or a zero XOR word written as a
+// control byte is malformed. So an accepted block re-encodes to the same
+// bytes, the property the decoders' fuzz targets check.
 
 // Value-block form markers (the byte before every f64 value block).
 const (
@@ -41,22 +47,6 @@ const (
 	// word has L <= 7, so the high nibble never reaches 8.
 	xorZeroMarker byte = 0x88
 )
-
-// Process-wide value-block accounting: the raw size every coded block
-// would occupy and the bytes it actually took (marker included), summed
-// over encodes and decodes in this process. The CLI surfaces the ratio
-// after a run; spans carry per-task deltas.
-var (
-	valueRawBytes   atomic.Int64
-	valueCodedBytes atomic.Int64
-)
-
-// ValueBytes returns the process-wide (raw, coded) byte totals of every
-// XOR value block encoded or decoded so far. raw is what the blocks
-// would have occupied fixed-width; coded is what they took on the wire.
-func ValueBytes() (raw, coded int64) {
-	return valueRawBytes.Load(), valueCodedBytes.Load()
-}
 
 // xorF64Size returns the XOR-coded size of vs in bytes (marker excluded).
 func xorF64Size(vs []float64) int {
@@ -79,16 +69,10 @@ func xorF64Size(vs []float64) int {
 // shrink the block — the raw fixed-width bits. No length prefix: the
 // codec's layout carries counts. Bit patterns round-trip exactly.
 func AppendF64sXor(b []byte, vs []float64) []byte {
-	raw := 8 * len(vs)
-	coded := xorF64Size(vs)
-	if coded >= raw {
-		valueRawBytes.Add(int64(raw))
-		valueCodedBytes.Add(int64(raw) + 1)
+	if xorF64Size(vs) >= 8*len(vs) {
 		b = append(b, ValueBlockRaw)
 		return AppendF64s(b, vs)
 	}
-	valueRawBytes.Add(int64(raw))
-	valueCodedBytes.Add(int64(coded) + 1)
 	b = append(b, ValueBlockXor)
 	prev := uint64(0)
 	for _, v := range vs {
@@ -110,13 +94,18 @@ func AppendF64sXor(b []byte, vs []float64) []byte {
 }
 
 // F64sXorInto consumes one XOR value block of len(dst) values,
-// reconstructing the exact bit patterns. Truncated streams and malformed
-// control bytes fail the reader, never panic.
+// reconstructing the exact bit patterns and adding the block's raw and
+// coded sizes to the reader's value counters. Truncated streams,
+// malformed control bytes and non-canonical blocks fail the reader, never
+// panic.
 func (r *Reader) F64sXorInto(dst []float64) {
 	start := r.off
 	switch form := r.U8(); form {
 	case ValueBlockRaw:
 		r.F64sInto(dst)
+		if r.err == nil && xorF64Size(dst) < 8*len(dst) {
+			r.fail("raw value block of %d values would XOR-code smaller", len(dst))
+		}
 	case ValueBlockXor:
 		prev := uint64(0)
 		for i := range dst {
@@ -134,6 +123,10 @@ func (r *Reader) F64sXorInto(dst []float64) {
 				if s == nil {
 					return
 				}
+				if s[0] == 0 || s[len(s)-1] == 0 {
+					r.fail("xor control byte %#x undercounts zero bytes", c)
+					return
+				}
 				var x uint64
 				for bi, by := range s {
 					x |= uint64(by) << (8 * uint(t+bi))
@@ -142,6 +135,9 @@ func (r *Reader) F64sXorInto(dst []float64) {
 			}
 			dst[i] = math.Float64frombits(prev)
 		}
+		if r.off-start-1 >= 8*len(dst) {
+			r.fail("xor value block of %d values does not shrink", len(dst))
+		}
 	default:
 		if r.err == nil {
 			r.fail("unknown value-block form %d", form)
@@ -149,8 +145,8 @@ func (r *Reader) F64sXorInto(dst []float64) {
 		return
 	}
 	if r.err == nil {
-		valueRawBytes.Add(int64(8 * len(dst)))
-		valueCodedBytes.Add(int64(r.off - start))
+		r.valRaw += int64(8 * len(dst))
+		r.valCoded += int64(r.off - start)
 	}
 }
 

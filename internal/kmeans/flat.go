@@ -91,6 +91,9 @@ func decodeFlatAccumWire(r *flatwire.Reader) (*AccumWire, error) {
 	if sum != total {
 		return nil, fmt.Errorf("kmeans: decode accum: per-cluster entry counts sum to %d, header says %d", sum, total)
 	}
+	if total > r.Remaining() { // an entry takes at least an index byte and a value byte
+		return nil, fmt.Errorf("kmeans: decode accum: %w: %d entries in %d bytes", flatwire.ErrMalformed, total, r.Remaining())
+	}
 	idx := make([]uint32, total)
 	val := make([]float64, total)
 	off := 0

@@ -3,7 +3,7 @@ package kmeans
 import "fmt"
 
 // This file is the serialization boundary of the iterative shard contract:
-// the gob-encodable form of an Accum — exactly the state a remote
+// the wire form of an Accum — exactly the state a remote
 // assignment worker ships back to the coordinator each iteration — plus
 // the Clusterer accessors a coordinator needs to build per-iteration
 // remote task arguments (live centroids and norms out, remotely computed
@@ -13,7 +13,8 @@ import "fmt"
 // to the same centroids and the same convergence decisions as an
 // in-process run.
 
-// AccumWire is the gob-encodable form of an Accum: per-cluster centroid
+// AccumWire is the wire form of an Accum (flat layout in flat.go):
+// per-cluster centroid
 // sums in sparse ascending-index order, cluster counts, and the shard's
 // inertia and moved-assignment tally.
 type AccumWire struct {

@@ -72,8 +72,9 @@ func fmtDur(d time.Duration) string {
 }
 
 // Autopsy renders plan.Explain() with one extra comment line per traced
-// node — predicted versus measured wall-clock (with the ratio), task count
-// and shipped bytes — followed by a per-term cost-model comparison against
+// node — predicted versus measured wall-clock (with the ratio), task
+// count, K-Means++ seed rounds and loop iterations (counted apart), and
+// shipped bytes — followed by a per-term cost-model comparison against
 // the run's phase breakdown (bd may be nil). Nodes without spans pass
 // through unchanged; nodes without predictions report measurement only.
 func Autopsy(plan PlanLike, tr *Trace, bd *metrics.Breakdown) string {
@@ -93,6 +94,9 @@ func Autopsy(plan PlanLike, tr *Trace, bd *metrics.Breakdown) string {
 			parts = append(parts, fmt.Sprintf("measured %s", fmtDur(a.wall())))
 		}
 		parts = append(parts, fmt.Sprintf("%d tasks", a.tasks))
+		if a.seeds > 0 {
+			parts = append(parts, fmt.Sprintf("%d seed rounds", a.seeds))
+		}
 		if a.iters > 0 {
 			parts = append(parts, fmt.Sprintf("%d iterations", a.iters))
 		}

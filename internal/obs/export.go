@@ -197,8 +197,12 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 
 // nodeAgg is NodeTable's and Autopsy's per-node rollup of a trace.
 type nodeAgg struct {
-	tasks   int
-	iters   int // max loop iteration seen + 1 (0 when no loop tasks)
+	tasks int
+	// iters and seeds count loop iterations and K-Means++ seed rounds:
+	// the highest iteration of loop-shard/loop-end spans and the highest
+	// round of loop-prep/loop-prep-end spans, each + 1 (0 when absent).
+	iters   int
+	seeds   int
 	wait    time.Duration
 	run     time.Duration
 	first   time.Time
@@ -221,8 +225,11 @@ func aggregate(tr *Trace) map[string]*nodeAgg {
 			aggs[s.Node] = a
 		}
 		a.tasks++
-		if s.Iter >= a.iters {
-			a.iters = s.Iter + 1
+		switch s.Kind {
+		case "loop-shard", "loop-end":
+			a.iters = max(a.iters, s.Iter+1)
+		case "loop-prep", "loop-prep-end":
+			a.seeds = max(a.seeds, s.Iter+1)
 		}
 		a.wait += s.Wait()
 		a.run += s.Dur()
@@ -248,20 +255,23 @@ func aggregate(tr *Trace) map[string]*nodeAgg {
 }
 
 // NodeTable renders the trace as an aligned per-node text table: task
-// counts, loop iterations, wall-clock (first start to last end), summed
+// counts, loop iterations and seed rounds, wall-clock (first start to last end), summed
 // queue wait and run time, wire bytes, and the worker fan-out.
 func NodeTable(tr *Trace) string {
 	aggs := aggregate(tr)
-	t := metrics.NewTable("node", "tasks", "iters", "wall", "wait", "run", "ship-out", "ship-in", "workers")
+	t := metrics.NewTable("node", "tasks", "iters", "seeds", "wall", "wait", "run", "ship-out", "ship-in", "workers")
+	count := func(n int) string {
+		if n == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%d", n)
+	}
 	for _, node := range tr.Nodes() {
 		a := aggs[node]
-		iters := "-"
-		if a.iters > 0 {
-			iters = fmt.Sprintf("%d", a.iters)
-		}
 		t.AddRow(node,
 			fmt.Sprintf("%d", a.tasks),
-			iters,
+			count(a.iters),
+			count(a.seeds),
 			metrics.FormatDuration(a.wall()),
 			metrics.FormatDuration(a.wait),
 			metrics.FormatDuration(a.run),

@@ -31,12 +31,14 @@ type Span struct {
 	Node string
 	// Op is the operator or kernel name (e.g. "kmeans.assign").
 	Op string
-	// Kind is the task kind: "run", "loop-begin", "loop-shard", "loop-end"
-	// or "loop-finish".
+	// Kind is the task kind: "run", "loop-begin", "loop-prep",
+	// "loop-prep-end", "loop-shard", "loop-end" or "loop-finish".
 	Kind string
 	// Shard is the shard index within the node (0 for unsharded tasks).
 	Shard int
-	// Iter is the loop iteration for loop-shard tasks, -1 otherwise.
+	// Iter is the loop iteration for loop-shard and loop-end tasks, the
+	// preparation round (K-Means++ seed round) for loop-prep and
+	// loop-prep-end tasks, and -1 otherwise.
 	Iter int
 	// Backend is the executing backend's Name().
 	Backend string
@@ -47,13 +49,14 @@ type Span struct {
 	Queued, Start, End time.Time
 	// BytesOut and BytesIn count request and reply wire bytes (remote only).
 	BytesOut, BytesIn int64
-	// Codec is the reply encoding for remote tasks: "flat", "gob" or "".
+	// Codec is the wire encoding for remote tasks ("flat"; "" in-process).
 	Codec string
 	// ValueRawBytes and ValueCodedBytes split the task's XOR-coded f64
-	// value blocks into the size they would occupy fixed-width and what
-	// they took on the wire (see flatwire.ValueBytes). Deltas of
-	// process-wide counters: with concurrent tasks a span's split is
-	// approximate, but the totals across all spans sum exactly.
+	// value blocks — in its arguments and its reply — into the size they
+	// would occupy fixed-width and what they took on the wire. They come
+	// from the task's own decoders (the worker's, reported in the reply
+	// frame, and the coordinator's), so concurrent tasks never share
+	// counts and the spans sum to the backend's totals.
 	ValueRawBytes, ValueCodedBytes int64
 	// Resend marks a task that needed a second round trip to re-ship cached
 	// state (the needResend protocol).

@@ -46,9 +46,10 @@ import (
 // cost); v5 added KMeansAssignElkanNS (the per-centroid-bound variant's
 // rate); v6 added the skip rates the bounded calibrations observed
 // (KMeansPrunedSkipRate, KMeansElkanSkipRate — what the measured-skip
-// feedback loop needs to decompose the bounded rates), so earlier caches
-// self-invalidate and re-measure.
-const ModelVersion = 6
+// feedback loop needs to decompose the bounded rates); v7 measures
+// RPCShipNS over the flat frame transport instead of net/rpc + gob. Earlier
+// caches self-invalidate and re-measure.
+const ModelVersion = 7
 
 // DictPoint is one calibrated operating point of a dictionary kind:
 // amortized per-operation costs measured while growing a dictionary to
@@ -162,8 +163,9 @@ type CostModel struct {
 	// calibration loop.
 	KMeansElkanSkipRate float64 `json:"kmeans_elkan_skip_rate"`
 	// RPCShipNS is the per-task overhead of shipping one shard task to an
-	// RPC worker and absorbing its reply — gob encode, a loopback net/rpc
-	// round trip with a representative small payload, gob decode — in
+	// RPC worker and absorbing its reply — a representative small flat
+	// argument body framed over a loopback pipe to a worker running a
+	// compute-free echo kernel, and the reply framed back — in
 	// nanoseconds. It is a lower bound (real networks add latency and
 	// payload bandwidth); the shard-count decisions add it to ShardTaskNS
 	// for every task when pricing a remote backend.

@@ -13,9 +13,15 @@ import (
 // Every entry is an Average, folded in by the same sample-weighted rule.
 type Observed struct {
 	// Ship averages the per-task RPC ship time in nanoseconds
-	// (RPCBackend.MeasuredShipNS). Remote plans price shard tasks with it
-	// instead of the calibrated loopback lower bound (see RPCProfileFrom).
+	// (RPCBackend.MeasuredShipNS: each round trip minus the compute time
+	// the worker reported). Remote plans price shard tasks with it instead
+	// of the calibrated loopback lower bound (see RPCProfileFrom), on top
+	// of the task's own compute estimate.
 	Ship Average `json:"ship"`
+	// ShipVersion marks how Ship was measured. Samples written under any
+	// other version (older builds timed the whole call, worker compute
+	// included, which double-priced remote compute) are discarded on load.
+	ShipVersion int `json:"ship_version,omitempty"`
 	// Skip averages, per regime (see SkipRegime), the fraction of
 	// document-iterations whose k-way scan the bounded K-Means kernels
 	// skipped (kmeans.PruneStats.SkipRate), in [0, 1]. Plans re-price the
@@ -33,6 +39,10 @@ type Average struct {
 	// averageSampleCap so the average stays adaptive.
 	Samples int64 `json:"samples"`
 }
+
+// shipVersion is the ShipVersion of ship samples that exclude worker
+// compute.
+const shipVersion = 1
 
 // averageSampleCap bounds an Average's effective history: once this many
 // samples have been folded in, new observations keep at least 1/cap
@@ -80,6 +90,7 @@ func SkipRegime(variant string, k int) string {
 func (o *Observed) ObserveShip(shipNS float64, n int64) {
 	if shipNS > 0 && n > 0 {
 		o.Ship.observe(shipNS, n)
+		o.ShipVersion = shipVersion
 	}
 }
 
@@ -125,7 +136,8 @@ func (o *Observed) validate() error {
 // LoadObserved reads a persisted observed profile. A missing file is an
 // error; callers treat any error as "no measured data yet". Unparsable
 // files and files with any out-of-range entry are rejected whole — a
-// corrupt feedback file must not poison pricing.
+// corrupt feedback file must not poison pricing. Ship samples of another
+// ShipVersion are dropped; the skip regimes load as they are.
 func LoadObserved(path string) (Observed, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -137,6 +149,9 @@ func LoadObserved(path string) (Observed, error) {
 	}
 	if err := o.validate(); err != nil {
 		return Observed{}, fmt.Errorf("optimizer: %s: %w", path, err)
+	}
+	if o.ShipVersion != shipVersion {
+		o.Ship, o.ShipVersion = Average{}, 0
 	}
 	return o, nil
 }

@@ -315,3 +315,27 @@ func TestMeasuredSkipPricing(t *testing.T) {
 		t.Errorf("unbounded model priced %v (%s)", eff, src)
 	}
 }
+
+// TestShipSamplesOfOlderBuildsDiscarded: ship samples persisted without
+// the current ShipVersion were measured with worker compute included, so
+// loading drops them — and only them: the skip regimes survive.
+func TestShipSamplesOfOlderBuildsDiscarded(t *testing.T) {
+	path := ObservedFile(t.TempDir())
+	old := `{"ship":{"mean":12500000,"samples":40},"skip":{"elkan-k16":{"mean":0.5,"samples":7}}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := LoadObserved(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Ship != (Average{}) {
+		t.Errorf("compute-inclusive ship samples survived the load: %+v", o.Ship)
+	}
+	if rate, ok := o.SkipRate("elkan-k16"); !ok || rate != 0.5 {
+		t.Errorf("skip regime lost with the ship samples: %v, %v", rate, ok)
+	}
+	if bp := RPCProfileFrom(2, &CostModel{RPCShipNS: 9000}, &o); bp.ShipSource != "loopback-bound" {
+		t.Errorf("discarded samples still price the plan: %+v", bp)
+	}
+}

@@ -51,8 +51,9 @@ type BackendProfile struct {
 	// priced as one extra execution slot (a worker's own internal
 	// parallelism is not assumed).
 	Workers int
-	// ShipNS is the per-task ship overhead (gob encode + RPC round trip +
-	// decode), added to the executor task overhead for every shard task.
+	// ShipNS is the per-task ship overhead (argument encode, frame round
+	// trip and reply decode, worker compute excluded), added to the
+	// executor task overhead for every shard task.
 	ShipNS float64
 	// ShipSource labels where ShipNS came from for Explain: "measured"
 	// (the recorded average of real worker round trips, Observed.Ship) or
@@ -74,8 +75,9 @@ func RPCProfile(n int, m *CostModel) BackendProfile {
 // RPCProfileFrom is RPCProfile with the measured-ship feedback loop closed:
 // when o carries a ship average (see Observed.Ship) with at least one
 // sample, that measured per-task ship time prices the plan instead of the
-// calibrated loopback bound. Pass a nil o to skip it (the flag-off escape
-// hatch).
+// calibrated loopback bound. The measurement excludes the compute time
+// workers report, so adding it to a task's compute estimate prices remote
+// compute once. Pass a nil o to skip it (the flag-off escape hatch).
 func RPCProfileFrom(n int, m *CostModel, o *Observed) BackendProfile {
 	bp := RPCProfile(n, m)
 	if o != nil && o.Ship.Samples > 0 && o.Ship.Mean > 0 {

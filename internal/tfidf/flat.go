@@ -3,6 +3,7 @@ package tfidf
 import (
 	"fmt"
 
+	"hpa/internal/dict"
 	"hpa/internal/flatwire"
 	"hpa/internal/sparse"
 )
@@ -88,6 +89,20 @@ func (vs *VectorShard) EncodeFlat(dst []byte) []byte {
 // arrays, subsliced per document.
 func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	r := flatwire.NewReader(b)
+	vs, err := ConsumeFlatVectorShard(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
+	}
+	return vs, nil
+}
+
+// ConsumeFlatVectorShard decodes one flat VectorShard from r, which may
+// carry further payload after it — the form a caller uses to count the
+// shard's value blocks on its own reader.
+func ConsumeFlatVectorShard(r *flatwire.Reader) (*VectorShard, error) {
 	r.Header(vectorShardMagic, "tfidf vector shard")
 	vs := &VectorShard{
 		Lo:  int(r.U64()),
@@ -107,6 +122,9 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	}
 	if sum != total {
 		return nil, fmt.Errorf("tfidf: decode vector shard: per-document entry counts sum to %d, header says %d", sum, total)
+	}
+	if total > r.Remaining() { // an entry takes at least an index byte and a value byte
+		return nil, fmt.Errorf("tfidf: decode vector shard: %w: %d entries in %d bytes", flatwire.ErrMalformed, total, r.Remaining())
 	}
 	idx := make([]uint32, total)
 	val := make([]float64, total)
@@ -146,7 +164,7 @@ func DecodeFlatVectorShard(b []byte) (*VectorShard, error) {
 	for i := range vs.DocNames {
 		vs.DocNames[i] = r.String()
 	}
-	if err := r.Done(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode vector shard: %w", err)
 	}
 	return vs, nil
@@ -209,6 +227,20 @@ func (w *WireShardCounts) EncodeFlat(dst []byte) []byte {
 // layout (magic, version, counts, truncation, trailing bytes).
 func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 	r := flatwire.NewReader(b)
+	w, err := ConsumeFlatWireShardCounts(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
+	}
+	return w, nil
+}
+
+// ConsumeFlatWireShardCounts decodes one flat count reply from r, which
+// may carry further payload after it (a transform task's arguments embed
+// the shard's counts).
+func ConsumeFlatWireShardCounts(r *flatwire.Reader) (*WireShardCounts, error) {
 	r.Header(wireShardCountsMagic, "tfidf shard counts")
 	w := &WireShardCounts{
 		Lo: int(r.U64()),
@@ -218,6 +250,16 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 	nwords := r.U32s(n)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
+	}
+	// Every word takes at least its 4-byte length and 4-byte count, so a
+	// corrupt per-document count fails here instead of driving a giant
+	// allocation.
+	words := 0
+	for _, c := range nwords {
+		words += int(c)
+	}
+	if words > r.Remaining()/8 {
+		return nil, fmt.Errorf("tfidf: decode shard counts: %w: %d words in %d bytes", flatwire.ErrMalformed, words, r.Remaining())
 	}
 	w.Docs = make([]WireDocCounts, n)
 	for i := range w.Docs {
@@ -263,7 +305,7 @@ func DecodeFlatWireShardCounts(b []byte) (*WireShardCounts, error) {
 	default:
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w: bad DF marker", flatwire.ErrMalformed)
 	}
-	if err := r.Done(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tfidf: decode shard counts: %w", err)
 	}
 	return w, nil
@@ -319,4 +361,37 @@ func DecodeFlatWireGlobal(b []byte) (*WireGlobal, error) {
 		return nil, fmt.Errorf("tfidf: decode global table: %w", err)
 	}
 	return w, nil
+}
+
+// AppendFlat appends the options in flat form:
+//
+//	dictKind u8 | globalPresize i64 | docPresize i64 | shards i64
+//	minWordLen i64 | stem u8 | normalize u8
+func (w WireOptions) AppendFlat(b []byte) []byte {
+	b = append(b, byte(w.DictKind))
+	b = flatwire.AppendI64(b, int64(w.GlobalPresize))
+	b = flatwire.AppendI64(b, int64(w.DocPresize))
+	b = flatwire.AppendI64(b, int64(w.Shards))
+	b = flatwire.AppendI64(b, int64(w.MinWordLen))
+	b = flatwire.AppendBool(b, w.Stem)
+	return flatwire.AppendBool(b, w.Normalize)
+}
+
+// ConsumeWireOptions decodes options written by AppendFlat from r. An
+// unknown dictionary kind fails the reader as malformed.
+func ConsumeWireOptions(r *flatwire.Reader) WireOptions {
+	kind := r.U8()
+	w := WireOptions{
+		DictKind:      dict.Kind(kind),
+		GlobalPresize: int(r.I64()),
+		DocPresize:    int(r.I64()),
+		Shards:        int(r.I64()),
+		MinWordLen:    int(r.I64()),
+		Stem:          r.Bool(),
+		Normalize:     r.Bool(),
+	}
+	if int(kind) >= len(dict.Kinds()) {
+		r.Fail("unknown dictionary kind %d", kind)
+	}
+	return w
 }

@@ -5,9 +5,9 @@ import (
 )
 
 // This file is the serialization boundary of the partitioned TF/IDF
-// kernels: gob-encodable forms of the option subset, the phase-1 shard
-// counts and the global term table, so CountShard and TransformShard tasks
-// can ship to worker processes. Dictionaries do not serialize as data
+// kernels: wire forms of the option subset, the phase-1 shard counts and
+// the global term table (flat layouts in flat.go), so CountShard and
+// TransformShard tasks can ship to worker processes. Dictionaries do not serialize as data
 // structures — they serialize as their (word, count) contents and are
 // rebuilt on the receiving side with the run's dictionary kind. That is
 // result-preserving by the same arguments that make sharding
@@ -15,8 +15,8 @@ import (
 // term IDs are assigned in lexicographic word order, and per-document
 // scoring reads each word exactly once, so dictionary iteration order (the
 // only thing a rebuild can change) never reaches the output.
-// (VectorShard needs no wire form: all its fields are exported and
-// gob-encodable as-is.)
+// (VectorShard needs no separate wire form: its flat codec encodes it
+// directly.)
 
 // WireOptions is the serializable subset of Options — everything except
 // the per-process fields (Recorder, Ctx) and custom stopword sets.
@@ -68,7 +68,7 @@ type WireDocCounts struct {
 	Counts []uint32
 }
 
-// WireShardCounts is the gob-encodable form of ShardCounts: dictionaries
+// WireShardCounts is the wire form of ShardCounts: dictionaries
 // flattened to their contents. DFWords/DFCounts are present only when the
 // shard's DF dictionary was included (a count task's reply needs it; a
 // transform task's argument does not — by then the reduction has consumed
@@ -142,7 +142,7 @@ func (w *WireShardCounts) ShardCounts(opts Options) *ShardCounts {
 	return sc
 }
 
-// WireGlobal is the gob-encodable form of Global: the sorted term table
+// WireGlobal is the wire form of Global: the sorted term table
 // and document count; the lookup dictionary is rebuilt on arrival.
 type WireGlobal struct {
 	Terms   []string

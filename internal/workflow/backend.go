@@ -1,6 +1,10 @@
 package workflow
 
-import "fmt"
+import (
+	"fmt"
+
+	"hpa/internal/flatwire"
+)
 
 // This file defines the pluggable execution-backend contract: where the
 // executor's (node, shard) tasks actually run. The scheduler (exec.go)
@@ -39,37 +43,39 @@ type Task struct {
 }
 
 // RemoteTask describes one shard task in serializable form: a kernel name
-// resolved through the worker registry (RegisterKernel) plus
-// gob-encodable arguments, and the coordinator-side hook that integrates
-// the kernel's reply.
+// resolved through the worker registry (RegisterKernel), an encoder of the
+// kernel's flat arguments, and the coordinator-side hook that integrates
+// the kernel's flat reply.
 type RemoteTask struct {
 	// Op is the kernel name in the worker registry.
 	Op string
-	// Args is the kernel's argument value; backends gob-encode it. It must
-	// be a concrete gob-encodable type matching what the kernel decodes.
-	Args any
+	// Args appends the kernel's flat argument body to b for the worker the
+	// backend picked (its index among the backend's workers), so state a
+	// worker already holds — this iteration's centroid table — can travel
+	// by reference. Backends call it once per send, in the order the
+	// worker will read the requests.
+	Args func(b []byte, worker int) []byte
 	// Affinity, when non-empty, pins every task sharing the key to one
 	// worker — how loop shards keep their cached documents on the worker
-	// that holds them across iterations.
+	// that holds them across iterations. Releasing the key (the
+	// affinityReleaser and scopeReleaser hooks) frees that state.
 	Affinity string
 	// Scope, when non-empty, names the plan run that created the task. A
 	// backend groups affinity pins by scope so the executor can release a
 	// whole run's pins when it finishes — the safety net behind the loop
 	// states' own targeted release, and the reason a long-lived serve
-	// backend cannot leak pins from runs that errored out mid-loop.
+	// backend cannot leak pins or worker state from runs that errored out
+	// mid-loop.
 	Scope string
 	// Phase, when non-empty, names the Breakdown phase the shipped task's
 	// wall-clock time (ship + compute + reply) is accounted to, so
 	// per-phase figures keep their meaning under remote execution.
 	Phase string
-	// Codec names the kernel's reply encoding ("flat" for length-prefixed
-	// flatwire buffers, "gob" otherwise) — trace metadata only; the wire
-	// protocol is unaffected.
-	Codec string
-	// Absorb decodes the kernel's gob-encoded reply and integrates it into
+	// Absorb decodes the kernel's flat reply from r and integrates it into
 	// coordinator state, returning the task's output value. It runs on the
-	// coordinator, in the task's goroutine.
-	Absorb func(reply []byte) (Value, error)
+	// coordinator, in the task's goroutine; the backend reads the value
+	// blocks it decoded off r.
+	Absorb func(r *flatwire.Reader) (Value, error)
 }
 
 // Backend dispatches the executor's shard tasks. Implementations must be
@@ -131,7 +137,8 @@ type RemotablePrepare interface {
 }
 
 // affinityReleaser is implemented by backends that pin tasks by affinity
-// key (RPCBackend) and can drop pins once the keyed work is finished.
+// key (RPCBackend) and can drop pins — and the worker state behind them —
+// once the keyed work is finished.
 type affinityReleaser interface{ ReleaseAffinity(keys ...string) }
 
 // scopeReleaser is implemented by backends that track affinity pins per
@@ -142,12 +149,14 @@ type scopeReleaser interface{ ReleaseScope(scope string) }
 // needResend is the error RemoteTask.Absorb returns when a worker's reply
 // is a cache miss — the worker lacks a body the coordinator optimistically
 // replaced with its key (the global term table by content hash, a shard's
-// counts by session). The backend then re-sends the task with Args to the
+// counts by session, an iteration's centroid table by loop and
+// iteration). The backend then re-sends the task with Args to the
 // SAME worker and absorbs the second reply; any other worker would miss
 // again. One resend is allowed per task: a second miss is a hard error.
 type needResend struct {
-	// Args is the full argument value to re-send (missing bodies inlined).
-	Args any
+	// Args appends the full argument body to re-send (missing bodies
+	// inlined).
+	Args func(b []byte) []byte
 }
 
 // Error implements error.

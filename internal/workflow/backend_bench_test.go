@@ -1,8 +1,6 @@
 package workflow
 
 import (
-	"net"
-	"net/rpc"
 	"os"
 	"runtime"
 	"testing"
@@ -32,15 +30,7 @@ func BenchmarkPlanBackends(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	pipes := func() *RPCBackend {
-		clients := make([]*rpc.Client, 2)
-		for i := range clients {
-			coord, work := net.Pipe()
-			go ServeWorkerConn(work)
-			clients[i] = rpc.NewClient(coord)
-		}
-		return NewRPCBackendClients(clients...)
-	}
+	pipes := func() *RPCBackend { return pipeWorkers(2) }
 
 	cases := []struct {
 		name    string

@@ -2,16 +2,16 @@ package workflow
 
 import (
 	"bytes"
-	"encoding/gob"
+	"io"
 	"math"
 	"net"
-	"net/rpc"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hpa/internal/corpus"
+	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/par"
 	"hpa/internal/pario"
@@ -19,18 +19,23 @@ import (
 	"hpa/internal/tfidf"
 )
 
-// pipeBackend starts n in-process workers, each serving the worker
+// pipeWorkers starts n in-process workers, each serving the worker
 // protocol over one end of a net.Pipe, and returns an RPCBackend over
-// them — real serialization and a real RPC loop, no network dependency.
-func pipeBackend(t testing.TB, n int) *RPCBackend {
-	t.Helper()
-	clients := make([]*rpc.Client, n)
-	for i := range clients {
+// them — real serialization and a real frame loop, no network dependency.
+func pipeWorkers(n int) *RPCBackend {
+	conns := make([]io.ReadWriteCloser, n)
+	for i := range conns {
 		coord, work := net.Pipe()
 		go ServeWorkerConn(work)
-		clients[i] = rpc.NewClient(coord)
+		conns[i] = coord
 	}
-	b := NewRPCBackendClients(clients...)
+	return NewRPCBackendConns(conns...)
+}
+
+// pipeBackend is pipeWorkers closed when the test ends.
+func pipeBackend(t testing.TB, n int) *RPCBackend {
+	t.Helper()
+	b := pipeWorkers(n)
 	t.Cleanup(func() { b.Close() })
 	return b
 }
@@ -159,7 +164,7 @@ func TestWorkerCrashFailsRun(t *testing.T) {
 		work.Read(buf)
 		work.Close()
 	}()
-	b := NewRPCBackendClients(rpc.NewClient(coord))
+	b := NewRPCBackendConns(coord)
 	defer b.Close()
 
 	src := diskCorpus(t)
@@ -185,43 +190,44 @@ func TestWorkerCrashFailsRun(t *testing.T) {
 // TestUnknownKernelErrors: a version-skewed worker without the requested
 // kernel reports a clean error.
 func TestUnknownKernelErrors(t *testing.T) {
-	coord, work := net.Pipe()
-	go ServeWorkerConn(work)
-	client := rpc.NewClient(coord)
-	defer client.Close()
-	var resp RPCResponse
-	err := client.Call("Worker.Run", &RPCRequest{Op: "no.such.kernel"}, &resp)
+	b := pipeBackend(t, 1)
+	_, err := b.RunTask(nil, &Task{Remote: &RemoteTask{
+		Op:     "no.such.kernel",
+		Args:   func(buf []byte, _ int) []byte { return buf },
+		Absorb: func(*flatwire.Reader) (Value, error) { return nil, nil },
+	}})
 	if err == nil || !strings.Contains(err.Error(), "no kernel") {
 		t.Fatalf("unknown kernel error = %v", err)
 	}
 }
 
-// gobRoundTrip encodes and re-decodes v through gob.
-func gobRoundTrip[T any](t *testing.T, v T) T {
+// flatRoundTrip encodes v, decodes it back with decode and checks that
+// the decoded value re-encodes to the same bytes.
+func flatRoundTrip[T interface{ AppendFlat([]byte) []byte }](t *testing.T, v T, decode func(*flatwire.Reader) (T, error)) T {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode %T: %v", v, err)
+	enc := v.AppendFlat(nil)
+	got, err := decode(flatwire.NewReader(enc))
+	if err != nil {
+		t.Fatalf("decode %T: %v", v, err)
 	}
-	var out T
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-		t.Fatalf("gob decode %T: %v", v, err)
+	if re := got.AppendFlat(nil); !bytes.Equal(re, enc) {
+		t.Fatalf("%T re-encodes to different bytes", v)
 	}
-	return out
+	return got
 }
 
-// TestTaskDescriptorsGobRoundTrip covers the wire structs of every
-// built-in kernel.
-func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
-	count := CountTaskArgs{
+// TestTaskDescriptorsFlatRoundTrip covers the flat argument codecs of
+// every built-in kernel.
+func TestTaskDescriptorsFlatRoundTrip(t *testing.T) {
+	count := &CountTaskArgs{
 		Shard:   pario.SourceSpec{Paths: []string{"/a/doc1.txt", "/a/doc2.txt"}, Lo: 4, Hi: 6},
 		Session: "tf-9-1-0",
 		Opts:    tfidf.WireOptions{DictKind: 1, MinWordLen: 2, Stem: true, Normalize: true},
 	}
-	if got := gobRoundTrip(t, count); !reflect.DeepEqual(got, count) {
+	if got := flatRoundTrip(t, count, decodeCountTaskArgs); !reflect.DeepEqual(got, count) {
 		t.Errorf("CountTaskArgs round trip: got %+v, want %+v", got, count)
 	}
-	tr := TransformTaskArgs{
+	tr := &TransformTaskArgs{
 		Counts: &tfidf.WireShardCounts{
 			Lo: 1, Hi: 3,
 			Docs:     []tfidf.WireDocCounts{{Words: []string{"a", "b"}, Counts: []uint32{2, 1}}, {}},
@@ -231,14 +237,17 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 		GlobalFlat:    (&tfidf.WireGlobal{Terms: []string{"a", "b"}, DF: []uint32{2, 1}, NumDocs: 3}).EncodeFlat(nil),
 		GlobalHash:    0xdeadbeefcafef00d,
 	}
-	got := gobRoundTrip(t, tr)
+	got := flatRoundTrip(t, tr, decodeTransformTaskArgs)
 	if !reflect.DeepEqual(got.GlobalFlat, tr.GlobalFlat) || got.Counts.Lo != tr.Counts.Lo ||
 		!reflect.DeepEqual(got.Counts.Docs[0], tr.Counts.Docs[0]) ||
 		got.CountsSession != tr.CountsSession || got.GlobalHash != tr.GlobalHash {
 		t.Errorf("TransformTaskArgs round trip mismatch")
 	}
-	km := KMAssignTaskArgs{
-		Session: "km-1-2-3",
+	negZero := math.Copysign(0, -1)
+	km := &KMAssignTaskArgs{
+		Loop:  "km-1-2",
+		Shard: 3,
+		Iter:  4,
 		Init: &KMShardInit{
 			Vectors:   []sparse.Vector{{Idx: []uint32{0, 5}, Val: []float64{1.25, -2.5}}},
 			Norms:     []float64{7.8125},
@@ -248,21 +257,37 @@ func TestTaskDescriptorsGobRoundTrip(t *testing.T) {
 			Prune:     true,
 			Elkan:     true,
 		},
-		Centroids: [][]float64{{1, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 1}},
-		CNorms:    []float64{1, 1},
+		Centroids: sparseRows([][]float64{{1, 0, 0, 0, 0, negZero}, {0, 0, 0, 0, 0, 1}}, []float64{1, 1}, 6),
 		Assign:    []int32{-1},
 		Drift:     []float64{0.25, 0.5},
 	}
-	if got := gobRoundTrip(t, km); !reflect.DeepEqual(got, km) {
-		t.Errorf("KMAssignTaskArgs round trip: got %+v, want %+v", got, km)
+	gotKM := flatRoundTrip(t, km, decodeKMAssignTaskArgs)
+	if !reflect.DeepEqual(gotKM.Init, km.Init) || !reflect.DeepEqual(gotKM.Assign, km.Assign) ||
+		!reflect.DeepEqual(gotKM.Drift, km.Drift) || gotKM.Loop != km.Loop || gotKM.Shard != km.Shard || gotKM.Iter != km.Iter {
+		t.Errorf("KMAssignTaskArgs round trip: got %+v, want %+v", gotKM, km)
 	}
-	seed := KMSeedTaskArgs{
-		Session: "km-1-2-3",
-		Last:    sparse.Vector{Idx: []uint32{2, 4}, Val: []float64{0.5, -1}},
-		D2:      []float64{math.Inf(1), 0.25},
+	// The sparse rows rebuild the dense table bit for bit, -0 included.
+	dense := [][]float64{make([]float64, 6), make([]float64, 6)}
+	gotKM.Centroids.denseInto(dense)
+	if math.Float64bits(dense[0][5]) != math.Float64bits(negZero) || dense[0][0] != 1 || dense[1][5] != 1 {
+		t.Errorf("centroid rows rebuild %v", dense)
 	}
-	if got := gobRoundTrip(t, seed); !reflect.DeepEqual(got, seed) {
+	byRef := &KMAssignTaskArgs{Loop: "km-1-2", Assign: []int32{0, 1}}
+	if got := flatRoundTrip(t, byRef, decodeKMAssignTaskArgs); got.Centroids != nil || got.Init != nil || got.Drift != nil {
+		t.Errorf("by-reference KMAssignTaskArgs grew optional parts: %+v", got)
+	}
+	seed := &KMSeedTaskArgs{
+		Loop:  "km-1-2",
+		Shard: 3,
+		Last:  sparse.Vector{Idx: []uint32{2, 4}, Val: []float64{0.5, -1}},
+		D2:    []float64{math.Inf(1), 0.25},
+	}
+	if got := flatRoundTrip(t, seed, decodeKMSeedTaskArgs); !reflect.DeepEqual(got, seed) {
 		t.Errorf("KMSeedTaskArgs round trip: got %+v, want %+v", got, seed)
+	}
+	keys := []string{"km-1-2/0", "tf-9-1-0"}
+	if got, err := decodeReleaseArgs(flatwire.NewReader(appendReleaseArgs(nil, keys))); err != nil || !reflect.DeepEqual(got, keys) {
+		t.Errorf("release args round trip: %v, %v", got, err)
 	}
 }
 

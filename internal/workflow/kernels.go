@@ -1,8 +1,6 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,74 +17,64 @@ import (
 )
 
 // This file holds the built-in worker kernels — the serializable forms of
-// the shard tasks that can leave the coordinator process — and the
-// Remotable implementations of the operators that produce them:
+// the shard tasks that can leave the coordinator process — their
+// worker-side state, and the Remotable implementations of the operators
+// that produce them:
 //
 //   - tfidf.count: a corpus shard described by pario.SourceSpec in, the
 //     shard's term counts (tfidf.WireShardCounts, DF included) back;
 //   - tfidf.transform: a shard's counts plus the global term table in,
 //     the shard's score vectors (*tfidf.VectorShard) back;
-//   - kmeans.assign: one loop shard's assignment iteration — centroids and
-//     previous assignments in, the shard's kmeans.Accum (wire form) and
-//     new assignments back. The shard's documents ship once, on the first
-//     iteration, and are cached in a worker-side session that backend
-//     affinity keeps on one worker;
+//   - kmeans.assign: one loop shard's assignment iteration — previous
+//     assignments in (plus the iteration's centroids, on the first task
+//     each worker receives per iteration), the shard's kmeans.Accum (wire
+//     form) and new assignments back. The shard's documents ship once, on
+//     its first contact, into a worker-side session that backend affinity
+//     keeps on one worker; the centroid table is decoded once per worker
+//     per iteration and shared by all of the loop's shards on that worker;
 //   - kmeans.seed: one K-Means++ seed round's min-distance scan over one
 //     loop shard — the last chosen seed and the shard's current distance
 //     window in, the min-updated window back. It shares the assignment
 //     loop's sessions (same affinity key), so the shard's documents ship
-//     once for seeding and iterations combined.
+//     once for seeding and iterations combined;
+//   - workflow.release: the keys of finished loop shards and count
+//     sessions in; the worker frees the state behind them.
 //
 // Kernels run the same functions the local path runs (tfidf.CountShard,
 // tfidf.TransformShard, kmeans.AssignRange), so remote results are
 // bit-identical to local ones by construction; the wire forms only ever
-// flatten dictionaries and accumulators, never recompute scores.
-//
-// Every kernel reply bypasses gob: the tfidf.count reply (a flat
-// WireShardCounts), the tfidf.transform reply (a flat VectorShard behind a
-// miss-flag header), the kmeans.assign reply (a flat AccumWire plus
-// assignment/distance blocks) and the kmeans.seed reply (a flat distance
-// window). Inlined global term-table bodies travel flat too
-// (tfidf.WireGlobal.EncodeFlat); only the small argument envelopes stay
-// gob. Flat payloads carry floats as IEEE 754 bit patterns, so flat
-// shipping preserves the bit-identity contract. The transform kernel
-// additionally resolves two worker-side caches before computing: the
-// global term table by content hash (shipped as a hash, pulled inline only
-// on the first miss per worker) and the shard's phase-1 counts by session
-// key (cached by the count kernel on the same worker, routed back by
-// affinity).
+// flatten dictionaries, accumulators and centroid rows, never recompute
+// scores. Arguments and replies are all flat (args.go), floats as IEEE 754
+// bit patterns. The transform kernel additionally resolves two
+// worker-side caches before computing: the global term table by content
+// hash (shipped as a hash, pulled inline only on the first miss per
+// worker) and the shard's phase-1 counts by session key (cached by the
+// count kernel on the same worker, routed back by affinity).
 
 func init() {
-	RegisterKernel("tfidf.count", runCountKernelFlat)
-	RegisterKernel("tfidf.transform", runTransformKernelFlat)
-	RegisterKernel("kmeans.assign", runKMAssignKernelFlat)
-	RegisterKernel("kmeans.seed", runKMSeedKernelFlat)
+	RegisterKernel("tfidf.count", runCountKernel)
+	RegisterKernel("tfidf.transform", runTransformKernel)
+	registerKernel("kmeans.assign", kernel{run: runKMAssignKernel, admit: admitKMAssign})
+	RegisterKernel("kmeans.seed", runKMSeedKernel)
+	RegisterKernel(releaseOp, runReleaseKernel)
 }
 
 // workerPool is the worker process's compute pool, shared by every kernel
 // invocation (kernels may serve several shards concurrently).
 var workerPool = sync.OnceValue(func() *par.Pool { return par.NewPool(runtime.GOMAXPROCS(0)) })
 
-// CountTaskArgs are the tfidf.count kernel arguments.
-type CountTaskArgs struct {
-	// Shard describes the corpus shard (paths + global [Lo, Hi) range).
-	Shard pario.SourceSpec
-	// Session, when non-empty, makes the worker keep the live ShardCounts
-	// cached under this key after replying, so the matching transform task
-	// (routed here by the shared affinity key) can consume them without the
-	// coordinator re-serializing every document's term counts.
-	Session string
-	// Opts is the serializable option subset of the TF/IDF operator.
-	Opts tfidf.WireOptions
-}
-
-// runCountKernel executes phase 1 over the described shard on the worker.
-func runCountKernel(a *CountTaskArgs) (*tfidf.WireShardCounts, error) {
+// runCountKernel executes phase 1 over the described shard on the worker
+// and replies with the shard's full term counts, DF included.
+func runCountKernel(r *flatwire.Reader) ([]byte, error) {
+	a, err := decodeCountTaskArgs(r)
+	if err != nil {
+		return nil, err
+	}
 	opts := a.Opts.Options()
 	readers := workerPool().Workers()
 	sc, err := tfidf.CountShard(a.Shard.Open(nil), readers, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
 	}
 	// CountShard derives [Lo, Hi) from SubSources; a spec-opened shard is a
 	// plain FileSource, so restore the global range from the descriptor.
@@ -98,43 +86,7 @@ func runCountKernel(a *CountTaskArgs) (*tfidf.WireShardCounts, error) {
 		// dictionaries stay here for the transform task.
 		cacheCounts(a.Session, sc)
 	}
-	return w, nil
-}
-
-// runCountKernelFlat is the registered kernel: gob args in (a shard
-// descriptor — tiny), flat reply out (the shard's full term counts, DF
-// included — a cold path per run but a large body per shard).
-func runCountKernelFlat(body []byte) ([]byte, error) {
-	var a CountTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.count: decode args: %w", err)
-	}
-	w, err := runCountKernel(&a)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.count: %w", err)
-	}
 	return w.EncodeFlat(nil), nil
-}
-
-// TransformTaskArgs are the tfidf.transform kernel arguments.
-type TransformTaskArgs struct {
-	// Counts is the shard's phase-1 output inlined (DF omitted — the global
-	// merge consumed it). Nil when CountsSession names the worker's cached
-	// live shard instead; a resend after a session miss inlines it.
-	Counts *tfidf.WireShardCounts
-	// CountsSession, when non-empty, keys the count kernel's cached
-	// ShardCounts on the worker the shared affinity routed both tasks to.
-	CountsSession string
-	// GlobalFlat is the merged term table inlined, in flat wire form
-	// (tfidf.WireGlobal.EncodeFlat). Nil on the optimistic first send —
-	// GlobalHash alone identifies it — and populated only on the resend
-	// answering a worker cache miss.
-	GlobalFlat []byte
-	// GlobalHash is the table's content digest (tfidf.Global.ContentHash),
-	// the worker's cache key. Always set.
-	GlobalHash uint64
-	// Opts is the serializable option subset.
-	Opts tfidf.WireOptions
 }
 
 // Transform reply framing: a magic header and a miss bitmask, followed by
@@ -147,14 +99,14 @@ const (
 	needCountsFlag uint32 = 1 << 1
 )
 
-// runTransformKernelFlat executes phase 2 over one shard on the worker, or
+// runTransformKernel executes phase 2 over one shard on the worker, or
 // replies with a miss bitmask when a keyed body (global table, cached
 // counts) is absent — the coordinator then re-sends the task with the
 // missing bodies inlined.
-func runTransformKernelFlat(body []byte) ([]byte, error) {
-	var a TransformTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel tfidf.transform: decode args: %w", err)
+func runTransformKernel(r *flatwire.Reader) ([]byte, error) {
+	a, err := decodeTransformTaskArgs(r)
+	if err != nil {
+		return nil, err
 	}
 	if a.GlobalFlat != nil {
 		globalInlineShips.Add(1)
@@ -203,8 +155,10 @@ func runTransformKernelFlat(body []byte) ([]byte, error) {
 }
 
 // workerCacheTTL bounds how long an idle worker-side cache entry (global
-// table, shard counts) survives; entries are evicted lazily on the next
-// kernel call, like loop-shard sessions.
+// table, shard counts, loop sessions) survives; entries are evicted lazily
+// on the next kernel call. Loop state is normally freed long before, by
+// the coordinator's release request; the TTL is the backstop for a
+// coordinator that died without sending it.
 const workerCacheTTL = 10 * time.Minute
 
 // globalInlineShips counts transform arguments that arrived with the
@@ -315,50 +269,6 @@ func dropCounts(session string) {
 	delete(countCache.m, session)
 }
 
-// KMShardInit carries a loop shard's per-loop constants, shipped once on
-// the shard's first iteration and cached in the worker session.
-type KMShardInit struct {
-	// Vectors and Norms are the shard's documents and their squared norms.
-	Vectors []sparse.Vector
-	Norms   []float64
-	// Dim is the dense dimensionality, K the cluster count.
-	Dim, K int
-	// WantDists makes the worker track and return per-document distances
-	// (the coordinator's ReseedFarthest policy needs them).
-	WantDists bool
-	// Prune makes the worker maintain a shard-local kmeans.BoundsPass, so
-	// assignment pruning works identically whether the shard runs here or
-	// on the coordinator. Bounds never ship: they are advisory state, and
-	// a fresh session (all bounds −Inf) just scans fully, which is always
-	// correct.
-	Prune bool
-	// Elkan selects the per-centroid lower-bound variant of the bounds pass
-	// (kmeans.BoundsPass.EnableElkan). The worker must mirror the
-	// coordinator's variant: the two variants skip different documents, and
-	// a skip changes which float operations run.
-	Elkan bool
-}
-
-// KMAssignTaskArgs are the kmeans.assign kernel arguments — one shard's
-// assignment iteration.
-type KMAssignTaskArgs struct {
-	// Session identifies the shard's worker-side session (loop + shard).
-	Session string
-	// Init is present on the shard's first iteration only.
-	Init *KMShardInit
-	// Centroids and CNorms are the current iteration's centroids.
-	Centroids [][]float64
-	CNorms    []float64
-	// Assign holds the shard's previous assignments (shard-local indexing),
-	// so the moved count stays exact whether or not the session survived.
-	Assign []int32
-	// Drift holds the padded per-centroid drifts of the previous centroid
-	// update (kmeans.Clusterer.Drift) — what the session's bounds decay by
-	// before this iteration's pruned assignment. Nil on the first iteration
-	// and when pruning is off.
-	Drift []float64
-}
-
 // KMAssignReply is the kmeans.assign kernel reply: exactly the state the
 // coordinator's ordered per-iteration reduce needs.
 type KMAssignReply struct {
@@ -370,50 +280,197 @@ type KMAssignReply struct {
 	Dists []float64
 }
 
+// kmLoop is one K-Means loop's state on a worker: the live shard sessions
+// it serves and the loop's centroid table — the dense centroids of one
+// iteration plus their blocked-kernel layout, installed once per
+// iteration from the first task that carries them and shared read-only by
+// every shard of the loop on this worker. The coordinator's per-iteration
+// barrier guarantees no task of iteration i still runs when iteration
+// i+1's table is installed over it.
+type kmLoop struct {
+	// Guarded by kmWorker's mutex.
+	key      string
+	sessions int
+	lastUse  time.Time
+
+	mu   sync.Mutex
+	iter int  // iteration the table holds or awaits; -1 before the first
+	ok   bool // the table holds iter's centroids
+	// ready is open while an admitted inline table for iter is pending;
+	// tasks referring to iter wait on it instead of missing.
+	ready  chan struct{}
+	cents  [][]float64
+	cnorms []float64
+	layout *sparse.BlockLayout
+}
+
+// expect records, in frame order, that an inline table for iter is on
+// its way, so tasks read after it wait for the install.
+func (l *kmLoop) expect(iter int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.iter == iter && (l.ok || l.ready != nil) {
+		return
+	}
+	l.settle() // waiters of another iteration miss rather than hang
+	l.iter, l.ok, l.ready = iter, false, make(chan struct{})
+}
+
+// settle wakes the waiters of a pending table.
+func (l *kmLoop) settle() {
+	if l.ready != nil {
+		close(l.ready)
+		l.ready = nil
+	}
+}
+
+// abandon settles a pending table for iter that failed to install; its
+// waiters miss and have the table re-sent.
+func (l *kmLoop) abandon(iter int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.iter == iter && !l.ok {
+		l.settle()
+	}
+}
+
+// install makes rows the loop's table for iter, reusing the previous
+// iteration's allocations. Installing an iteration the table already
+// holds is a no-op (a resend raced the first install).
+func (l *kmLoop) install(iter int, rows *CentroidRows, k, dim int) error {
+	if len(rows.Idx) != k || rows.Dim != dim {
+		return fmt.Errorf("centroid table of %d rows over dim %d for k=%d, dim=%d", len(rows.Idx), rows.Dim, k, dim)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.iter == iter && l.ok {
+		return nil
+	}
+	if l.cents == nil {
+		l.cents = make([][]float64, k)
+		for j := range l.cents {
+			l.cents[j] = make([]float64, dim)
+		}
+		if b := kmeans.BlockSize(k); b > 0 {
+			l.layout = sparse.NewBlockLayout(k, dim, b)
+		}
+	}
+	rows.denseInto(l.cents)
+	l.cnorms = rows.Norms
+	if l.layout != nil {
+		// The blocked kernel never changes results, so the layout is purely
+		// a work-shape choice.
+		l.layout.Fill(l.cents)
+	}
+	l.iter, l.ok = iter, true
+	l.settle()
+	return nil
+}
+
+// table returns the loop's table for iter, waiting out a pending install;
+// ok is false on a miss.
+func (l *kmLoop) table(iter int) (cents [][]float64, cnorms []float64, layout *sparse.BlockLayout, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.iter == iter && !l.ok && l.ready != nil {
+		ready := l.ready
+		l.mu.Unlock()
+		<-ready
+		l.mu.Lock()
+	}
+	if l.iter != iter || !l.ok {
+		return nil, nil, nil, false
+	}
+	return l.cents, l.cnorms, l.layout, true
+}
+
 // kmSession is a worker-side loop shard: the cached documents plus the
 // recycled accumulator, reused across the loop's iterations.
 type kmSession struct {
-	mu      sync.Mutex
-	docs    []sparse.Vector
-	norms   []float64
-	k       int
-	acc     *kmeans.Accum
-	dists   []float64
-	bp      *kmeans.BoundsPass
-	layout  *sparse.BlockLayout // blocked-kernel transpose, refilled per call
-	lastUse time.Time
+	loop *kmLoop
+
+	mu    sync.Mutex
+	docs  []sparse.Vector
+	norms []float64
+	k     int
+	dim   int
+	acc   *kmeans.Accum
+	dists []float64
+	bp    *kmeans.BoundsPass
+
+	lastUse time.Time // guarded by kmWorker's mutex
 }
 
-// kmSessionTTL bounds how long an idle loop-shard session survives on a
-// worker; sessions are evicted lazily on the next kernel call, so a
-// long-running worker does not accumulate state from finished loops.
-const kmSessionTTL = 10 * time.Minute
-
-var kmSessions = struct {
+// kmWorker is the worker process's K-Means state: loops by loop key,
+// shard sessions by session key. The release request frees a finished
+// loop's sessions, and its table with the last of them; idle entries
+// older than workerCacheTTL are evicted lazily, the backstop for a
+// coordinator that died before releasing.
+var kmWorker = struct {
 	sync.Mutex
-	m map[string]*kmSession
-}{m: make(map[string]*kmSession)}
+	loops    map[string]*kmLoop
+	sessions map[string]*kmSession
+}{loops: make(map[string]*kmLoop), sessions: make(map[string]*kmSession)}
 
-// kmSessionFor returns (creating if init allows) the session for one loop
-// shard, evicting expired sessions on the way.
-func kmSessionFor(id string, init *KMShardInit) (*kmSession, error) {
-	now := time.Now()
-	kmSessions.Lock()
-	defer kmSessions.Unlock()
-	for key, s := range kmSessions.m {
-		if key != id && now.Sub(s.lastUse) > kmSessionTTL {
-			delete(kmSessions.m, key)
+// kmLoopFor returns the loop entry for key, creating it; kmWorker's mutex
+// must be held.
+func kmLoopFor(key string, now time.Time) *kmLoop {
+	l := kmWorker.loops[key]
+	if l == nil {
+		l = &kmLoop{key: key, iter: -1}
+		kmWorker.loops[key] = l
+	}
+	l.lastUse = now
+	return l
+}
+
+// dropKMSession frees one session, and its loop with the loop's last
+// session; kmWorker's mutex must be held.
+func dropKMSession(key string) {
+	s := kmWorker.sessions[key]
+	if s == nil {
+		return
+	}
+	delete(kmWorker.sessions, key)
+	if s.loop.sessions--; s.loop.sessions == 0 {
+		delete(kmWorker.loops, s.loop.key)
+	}
+}
+
+// evictIdleKM drops sessions and session-less loops idle past the TTL;
+// kmWorker's mutex must be held.
+func evictIdleKM(now time.Time) {
+	for key, s := range kmWorker.sessions {
+		if now.Sub(s.lastUse) > workerCacheTTL {
+			dropKMSession(key)
 		}
 	}
-	s := kmSessions.m[id]
+	for key, l := range kmWorker.loops {
+		if l.sessions == 0 && now.Sub(l.lastUse) > workerCacheTTL {
+			delete(kmWorker.loops, key)
+		}
+	}
+}
+
+// kmSessionFor returns (creating if init allows) the session for one loop
+// shard, evicting idle state on the way.
+func kmSessionFor(loop string, shard int, init *KMShardInit) (*kmSession, error) {
+	now := time.Now()
+	key := sessionKey(loop, shard)
+	kmWorker.Lock()
+	defer kmWorker.Unlock()
+	evictIdleKM(now)
+	s := kmWorker.sessions[key]
 	if s == nil {
 		if init == nil {
-			return nil, fmt.Errorf("loop shard session %q lost (worker restarted mid-loop?)", id)
+			return nil, fmt.Errorf("loop shard session %q lost (worker restarted mid-loop?)", key)
 		}
 		s = &kmSession{
+			loop:  kmLoopFor(loop, now),
 			docs:  init.Vectors,
 			norms: init.Norms,
 			k:     init.K,
+			dim:   init.Dim,
 			acc:   kmeans.NewAccumFor(init.K, init.Dim),
 		}
 		if init.WantDists {
@@ -425,58 +482,105 @@ func kmSessionFor(id string, init *KMShardInit) (*kmSession, error) {
 				s.bp.EnableElkan(init.K)
 			}
 		}
-		if b := kmeans.BlockSize(init.K); b > 0 {
-			s.layout = sparse.NewBlockLayout(init.K, init.Dim, b)
-		}
-		kmSessions.m[id] = s
+		s.loop.sessions++
+		kmWorker.sessions[key] = s
 	}
 	s.lastUse = now
+	s.loop.lastUse = now
 	return s, nil
 }
 
-// runKMAssignKernel executes one loop shard's assignment iteration on the
-// worker: the same kmeans.AssignRange the coordinator would run, over the
-// session's cached documents.
-func runKMAssignKernel(a *KMAssignTaskArgs) (*KMAssignReply, error) {
-	s, err := kmSessionFor(a.Session, a.Init)
-	if err != nil {
-		return nil, err
+// admitKMAssign is the kmeans.assign admit hook: a task carrying its
+// iteration's centroid table marks the table pending before any later
+// request on the connection is dispatched, so the loop's other shards on
+// this worker wait for the install instead of missing it.
+func admitKMAssign(body []byte) {
+	r := flatwire.NewReader(body)
+	a, flags := consumeKMAssignHeader(r)
+	if r.Err() != nil || flags&assignCentroids == 0 {
+		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.docs)
-	if len(a.Assign) != n {
-		return nil, fmt.Errorf("loop shard %q: %d previous assignments for %d documents", a.Session, len(a.Assign), n)
-	}
-	if len(a.Centroids) != s.k || len(a.CNorms) != s.k {
-		return nil, fmt.Errorf("loop shard %q: %d centroids for k=%d", a.Session, len(a.Centroids), s.k)
-	}
-	if s.bp != nil && a.Drift != nil {
-		if len(a.Drift) != s.k {
-			return nil, fmt.Errorf("loop shard %q: %d drifts for k=%d", a.Session, len(a.Drift), s.k)
-		}
-		s.bp.SetDrift(a.Drift)
-	}
-	s.acc.Reset()
-	if s.layout != nil {
-		// Re-transpose this iteration's shipped centroids; the blocked
-		// kernel never changes results, so the layout is purely a
-		// work-shape choice.
-		s.layout.Fill(a.Centroids)
-	}
-	kmeans.AssignRange(0, n, s.k, s.docs, s.norms, a.Centroids, a.CNorms, s.layout, a.Assign, s.dists, s.bp, s.acc)
-	return &KMAssignReply{Accum: s.acc.Wire(), Assign: a.Assign, Dists: s.dists}, nil
+	kmWorker.Lock()
+	l := kmLoopFor(a.Loop, time.Now())
+	kmWorker.Unlock()
+	l.expect(a.Iter)
 }
 
 // kmAssignReplyMagic identifies a flat kmeans.assign reply buffer.
 const kmAssignReplyMagic uint32 = 0x48504b41 // "HPKA"
 
-// EncodeFlat returns the reply in flat layout: magic, the accumulator's
-// flat wire form, then the assignment block and (optionally) the distance
-// block. Floats travel as IEEE 754 bits; the absorbed state is
-// bit-identical to the worker's.
+// needCentroidsFlag is the kmeans.assign reply's miss status: the worker
+// holds no table for the task's (loop, iteration).
+const needCentroidsFlag uint32 = 1 << 0
+
+// runKMAssignKernel executes one loop shard's assignment iteration on the
+// worker: the same kmeans.AssignRange the coordinator would run, over the
+// session's cached documents and the loop's shared centroid table.
+func runKMAssignKernel(r *flatwire.Reader) ([]byte, error) {
+	a, flags := consumeKMAssignHeader(r)
+	if flags&assignCentroids != 0 && r.Err() == nil {
+		// Whatever happens below, an admitted table must settle so the
+		// loop's other tasks stop waiting for it.
+		defer func() {
+			kmWorker.Lock()
+			l := kmWorker.loops[a.Loop]
+			kmWorker.Unlock()
+			if l != nil {
+				l.abandon(a.Iter)
+			}
+		}()
+	}
+	if err := decodeKMAssignRest(r, a, flags); err != nil {
+		return nil, err
+	}
+	s, err := kmSessionFor(a.Loop, a.Shard, a.Init)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
+	}
+	if a.Centroids != nil {
+		if err := s.loop.install(a.Iter, a.Centroids, s.k, s.dim); err != nil {
+			return nil, fmt.Errorf("workflow: kernel kmeans.assign: loop shard %q: %w", sessionKey(a.Loop, a.Shard), err)
+		}
+	}
+	cents, cnorms, layout, ok := s.loop.table(a.Iter)
+	if !ok {
+		b := flatwire.AppendU32(nil, kmAssignReplyMagic)
+		return flatwire.AppendU32(b, needCentroidsFlag), nil
+	}
+	rep, err := s.assign(a, cents, cnorms, layout)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.assign: loop shard %q: %w", sessionKey(a.Loop, a.Shard), err)
+	}
+	return rep.EncodeFlat(), nil
+}
+
+// assign runs one iteration of the session's shard against the given
+// table.
+func (s *kmSession) assign(a *KMAssignTaskArgs, cents [][]float64, cnorms []float64, layout *sparse.BlockLayout) (*KMAssignReply, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.docs)
+	if len(a.Assign) != n {
+		return nil, fmt.Errorf("%d previous assignments for %d documents", len(a.Assign), n)
+	}
+	if s.bp != nil && a.Drift != nil {
+		if len(a.Drift) != s.k {
+			return nil, fmt.Errorf("%d drifts for k=%d", len(a.Drift), s.k)
+		}
+		s.bp.SetDrift(a.Drift)
+	}
+	s.acc.Reset()
+	kmeans.AssignRange(0, n, s.k, s.docs, s.norms, cents, cnorms, layout, a.Assign, s.dists, s.bp, s.acc)
+	return &KMAssignReply{Accum: s.acc.Wire(), Assign: a.Assign, Dists: s.dists}, nil
+}
+
+// EncodeFlat returns the reply in flat layout: magic, a zero miss status,
+// the accumulator's flat wire form, then the assignment block and
+// (optionally) the distance block. Floats travel as IEEE 754 bits; the
+// absorbed state is bit-identical to the worker's.
 func (r *KMAssignReply) EncodeFlat() []byte {
 	b := flatwire.AppendU32(nil, kmAssignReplyMagic)
+	b = flatwire.AppendU32(b, 0)
 	b = r.Accum.EncodeFlat(b)
 	b = flatwire.AppendU32(b, uint32(len(r.Assign)))
 	b = flatwire.AppendI32s(b, r.Assign)
@@ -489,17 +593,24 @@ func (r *KMAssignReply) EncodeFlat() []byte {
 	return b
 }
 
-// DecodeFlatKMAssignReply decodes a flat kmeans.assign reply, validating
-// magic, counts, truncation and trailing bytes.
-func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
-	r := flatwire.NewReader(body)
+// consumeKMAssignReply decodes a flat kmeans.assign reply from r,
+// validating magic, counts, truncation and trailing bytes. A miss status
+// returns a nil reply and the status flags.
+func consumeKMAssignReply(r *flatwire.Reader) (*KMAssignReply, uint32, error) {
 	r.Magic(kmAssignReplyMagic, "kmeans assign reply")
+	flags := r.U32()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
+		return nil, 0, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
+	}
+	if flags != 0 {
+		if flags != needCentroidsFlag {
+			return nil, 0, fmt.Errorf("workflow: decode kmeans.assign reply: unknown miss flags %#x", flags)
+		}
+		return nil, flags, r.Done()
 	}
 	acc, err := kmeans.ConsumeFlatAccumWire(r)
 	if err != nil {
-		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
+		return nil, 0, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
 	}
 	rep := &KMAssignReply{Accum: acc}
 	n := r.Count(4)
@@ -509,43 +620,22 @@ func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
 	case 1:
 		rep.Dists = r.F64s(n)
 	default:
-		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: bad distance marker")
+		return nil, 0, fmt.Errorf("workflow: decode kmeans.assign reply: bad distance marker")
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
+		return nil, 0, fmt.Errorf("workflow: decode kmeans.assign reply: %w", err)
 	}
-	return rep, nil
+	return rep, 0, nil
 }
 
-// runKMAssignKernelFlat is the registered kernel: gob args in (small —
-// centroids and previous assignments), flat reply out (the hot direction:
-// the accumulator's sparse centroid sums every iteration).
-func runKMAssignKernelFlat(body []byte) ([]byte, error) {
-	var a KMAssignTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.assign: decode args: %w", err)
+// DecodeFlatKMAssignReply decodes a flat kmeans.assign reply carrying a
+// result (a miss status is an error here).
+func DecodeFlatKMAssignReply(body []byte) (*KMAssignReply, error) {
+	rep, flags, err := consumeKMAssignReply(flatwire.NewReader(body))
+	if err == nil && flags != 0 {
+		err = fmt.Errorf("workflow: decode kmeans.assign reply: miss status %#x", flags)
 	}
-	rep, err := runKMAssignKernel(&a)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.assign: %w", err)
-	}
-	return rep.EncodeFlat(), nil
-}
-
-// KMSeedTaskArgs are the kmeans.seed kernel arguments — one seed round's
-// min-distance scan over one loop shard.
-type KMSeedTaskArgs struct {
-	// Session identifies the shard's worker-side session — the same key the
-	// assignment iterations use, so documents ship once for both.
-	Session string
-	// Init is present on the shard's first contact with the worker only
-	// (usually the first seed round; the assignment tasks then find the
-	// session warm).
-	Init *KMShardInit
-	// Last is the most recently chosen seed document.
-	Last sparse.Vector
-	// D2 is the shard's current window of the running min-distance array.
-	D2 []float64
+	return rep, err
 }
 
 // kmSeedReplyMagic identifies a flat kmeans.seed reply buffer.
@@ -554,41 +644,32 @@ const kmSeedReplyMagic uint32 = 0x48505344 // "HPSD"
 // runKMSeedKernel executes one seed round's scan on the worker: the same
 // kmeans.SeedScanRange the coordinator's local path runs, over the
 // session's cached documents — so the returned window is bit-identical to
-// a local scan.
-func runKMSeedKernel(a *KMSeedTaskArgs) ([]float64, error) {
-	s, err := kmSessionFor(a.Session, a.Init)
+// a local scan. The reply is the magic, a count, then the min-updated
+// distance window as IEEE 754 bits.
+func runKMSeedKernel(r *flatwire.Reader) ([]byte, error) {
+	a, err := decodeKMSeedTaskArgs(r)
 	if err != nil {
 		return nil, err
+	}
+	s, err := kmSessionFor(a.Loop, a.Shard, a.Init)
+	if err != nil {
+		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(a.D2) != len(s.docs) {
-		return nil, fmt.Errorf("loop shard %q: %d seed distances for %d documents", a.Session, len(a.D2), len(s.docs))
+		return nil, fmt.Errorf("workflow: kernel kmeans.seed: loop shard %q: %d seed distances for %d documents",
+			sessionKey(a.Loop, a.Shard), len(a.D2), len(s.docs))
 	}
 	kmeans.SeedScanRange(s.docs, &a.Last, a.D2)
-	return a.D2, nil
-}
-
-// runKMSeedKernelFlat is the registered kernel: gob args in, flat reply out
-// (magic, count, then the min-updated distance window as IEEE 754 bits).
-func runKMSeedKernelFlat(body []byte) ([]byte, error) {
-	var a KMSeedTaskArgs
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&a); err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.seed: decode args: %w", err)
-	}
-	d2, err := runKMSeedKernel(&a)
-	if err != nil {
-		return nil, fmt.Errorf("workflow: kernel kmeans.seed: %w", err)
-	}
 	b := flatwire.AppendU32(nil, kmSeedReplyMagic)
-	b = flatwire.AppendU32(b, uint32(len(d2)))
-	return flatwire.AppendF64s(b, d2), nil
+	b = flatwire.AppendU32(b, uint32(len(a.D2)))
+	return flatwire.AppendF64s(b, a.D2), nil
 }
 
-// DecodeFlatKMSeedReply decodes a flat kmeans.seed reply, validating magic,
-// count, truncation and trailing bytes.
-func DecodeFlatKMSeedReply(body []byte) ([]float64, error) {
-	r := flatwire.NewReader(body)
+// consumeKMSeedReply decodes a flat kmeans.seed reply from r, validating
+// magic, count, truncation and trailing bytes.
+func consumeKMSeedReply(r *flatwire.Reader) ([]float64, error) {
 	r.Magic(kmSeedReplyMagic, "kmeans seed reply")
 	n := r.Count(8)
 	d2 := r.F64s(n)
@@ -596,6 +677,42 @@ func DecodeFlatKMSeedReply(body []byte) ([]float64, error) {
 		return nil, fmt.Errorf("workflow: decode kmeans.seed reply: %w", err)
 	}
 	return d2, nil
+}
+
+// runReleaseKernel frees the worker state behind the released keys: loop
+// shard sessions (and a loop's centroid table with its last session) and
+// unconsumed count sessions. Unknown keys are ignored — a key whose state
+// already expired, or that never reached this worker.
+func runReleaseKernel(r *flatwire.Reader) ([]byte, error) {
+	keys, err := decodeReleaseArgs(r)
+	if err != nil {
+		return nil, err
+	}
+	kmWorker.Lock()
+	for _, k := range keys {
+		dropKMSession(k)
+	}
+	kmWorker.Unlock()
+	for _, k := range keys {
+		dropCounts(k)
+	}
+	return nil, nil
+}
+
+// workerLoopState reports the K-Means loop sessions and centroid tables
+// this process holds as a worker — the leak accounting the tests assert
+// on.
+func workerLoopState() (sessions, tables int) {
+	kmWorker.Lock()
+	defer kmWorker.Unlock()
+	for _, l := range kmWorker.loops {
+		l.mu.Lock()
+		if l.cents != nil {
+			tables++
+		}
+		l.mu.Unlock()
+	}
+	return len(kmWorker.sessions), tables
 }
 
 // RemoteTask implements Remotable: a tf-map shard ships when the corpus
@@ -619,19 +736,19 @@ func (o *TFMapOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool) {
 	opts := o.Opts
 	pair := o.pair
 	args := CountTaskArgs{Shard: *spec, Opts: wopts}
-	affinity := ""
 	if pair != nil {
 		args.Session = pair.countSession(idx)
-		affinity = args.Session
 	}
 	return &RemoteTask{
 		Op:       "tfidf.count",
-		Args:     args,
-		Affinity: affinity,
+		Args:     func(b []byte, _ int) []byte { return args.AppendFlat(b) },
+		Affinity: args.Session,
 		Phase:    tfidf.PhaseInputWC,
-		Codec:    "flat",
-		Absorb: func(body []byte) (Value, error) {
-			w, err := tfidf.DecodeFlatWireShardCounts(body)
+		Absorb: func(r *flatwire.Reader) (Value, error) {
+			w, err := tfidf.ConsumeFlatWireShardCounts(r)
+			if err == nil {
+				err = r.Done()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("workflow: tfidf.count reply: %w", err)
 			}
@@ -673,12 +790,10 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 	}
 	return &RemoteTask{
 		Op:       "tfidf.transform",
-		Args:     args,
+		Args:     func(b []byte, _ int) []byte { return args.AppendFlat(b) },
 		Affinity: affinity,
 		Phase:    tfidf.PhaseTransform,
-		Codec:    "flat",
-		Absorb: func(body []byte) (Value, error) {
-			r := flatwire.NewReader(body)
+		Absorb: func(r *flatwire.Reader) (Value, error) {
 			r.Magic(transformReplyMagic, "transform reply")
 			flags := r.U32()
 			if err := r.Err(); err != nil {
@@ -700,9 +815,12 @@ func (o *TransformOp) RemoteTask(ins []Value, idx, total int) (*RemoteTask, bool
 					resend.Counts = sc.Wire(false)
 					resend.CountsSession = ""
 				}
-				return nil, &needResend{Args: resend}
+				return nil, &needResend{Args: resend.AppendFlat}
 			}
-			vs, err := tfidf.DecodeFlatVectorShard(body[8:])
+			vs, err := tfidf.ConsumeFlatVectorShard(r)
+			if err == nil {
+				err = r.Done()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("workflow: tfidf.transform reply: %w", err)
 			}

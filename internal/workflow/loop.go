@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hpa/internal/flatwire"
 	"hpa/internal/kmeans"
 	"hpa/internal/pario"
 	"hpa/internal/sparse"
@@ -163,12 +164,20 @@ type kmLoopState struct {
 	ordered []*kmeans.Accum // scratch for the ordered reduce
 
 	// Remote-shard bookkeeping: the documents and norms to ship on a
-	// shard's first remote iteration, a loop-unique session prefix, and
-	// which shards already initialized their worker session.
+	// shard's first remote contact, the process-unique loop key naming the
+	// worker sessions, and which shards already initialized theirs.
 	docs    []sparse.Vector
 	norms   []float64
-	loopID  uint64
+	loopKey string
 	shipped []bool
+
+	// Centroid shipping: the current iteration's table in flat sparse-row
+	// form, encoded once per iteration, and per worker the last iteration
+	// (+1, so 0 means none) whose table that worker was sent.
+	tableMu   sync.Mutex
+	tableIter int
+	table     []byte
+	sent      map[int]int
 }
 
 // kmLoopSeq makes loop session prefixes process-unique.
@@ -259,8 +268,9 @@ func (o *KMAssignOp) BeginLoop(ctx *Context, ins []Value, shards int) (LoopState
 		ordered: make([]*kmeans.Accum, 0, shards),
 		docs:    docs,
 		norms:   c.DocNorms(),
-		loopID:  kmLoopSeq.Add(1),
+		loopKey: fmt.Sprintf("km-%d-%d", os.Getpid(), kmLoopSeq.Add(1)),
 		shipped: make([]bool, shards),
+		sent:    make(map[int]int),
 	}
 	for q := range st.accs {
 		st.accs[q] = c.NewAccum()
@@ -314,6 +324,24 @@ func (s *kmLoopState) EndPrepare(ctx *Context, round int) error {
 	return nil
 }
 
+// shardInit returns shard idx's session init when its worker has not
+// received it yet, nil otherwise.
+func (s *kmLoopState) shardInit(idx int) *KMShardInit {
+	if s.shipped[idx] {
+		return nil
+	}
+	lo, hi := s.bounds[idx], s.bounds[idx+1]
+	return &KMShardInit{
+		Vectors:   s.docs[lo:hi],
+		Norms:     s.norms[lo:hi],
+		Dim:       s.dim,
+		K:         s.c.K(),
+		WantDists: s.c.TracksDists(),
+		Prune:     s.c.PruneEnabled(),
+		Elkan:     s.c.PruneElkan(),
+	}
+}
+
 // RemotePrepareTask implements RemotablePrepare: one seed round's scan over
 // one shard as a kmeans.seed kernel call. It reuses the loop's per-shard
 // worker sessions (same affinity key as the assignment iterations, so the
@@ -323,32 +351,21 @@ func (s *kmLoopState) EndPrepare(ctx *Context, round int) error {
 // path runs and returns the updated window, floats as IEEE 754 bits.
 func (s *kmLoopState) RemotePrepareTask(round, idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
-	session := s.sessionKey(idx)
 	args := KMSeedTaskArgs{
-		Session: session,
-		Last:    *s.seeding.Last(),
-		D2:      s.seeding.D2(lo, hi),
-	}
-	if !s.shipped[idx] {
-		args.Init = &KMShardInit{
-			Vectors:   s.docs[lo:hi],
-			Norms:     s.norms[lo:hi],
-			Dim:       s.dim,
-			K:         s.c.K(),
-			WantDists: s.c.TracksDists(),
-			Prune:     s.c.PruneEnabled(),
-			Elkan:     s.c.PruneElkan(),
-		}
+		Loop:  s.loopKey,
+		Shard: idx,
+		Init:  s.shardInit(idx),
+		Last:  *s.seeding.Last(),
+		D2:    s.seeding.D2(lo, hi),
 	}
 	seeding := s.seeding
 	return &RemoteTask{
 		Op:       "kmeans.seed",
-		Args:     args,
-		Affinity: session,
+		Args:     func(b []byte, _ int) []byte { return args.AppendFlat(b) },
+		Affinity: sessionKey(s.loopKey, idx),
 		Phase:    kmeans.PhaseKMeans,
-		Codec:    "flat",
-		Absorb: func(body []byte) (Value, error) {
-			d2, err := DecodeFlatKMSeedReply(body)
+		Absorb: func(r *flatwire.Reader) (Value, error) {
+			d2, err := consumeKMSeedReply(r)
 			if err != nil {
 				return nil, err
 			}
@@ -374,52 +391,72 @@ func (s *kmLoopState) RunShard(ctx *Context, idx, total int) (any, error) {
 	return a, nil
 }
 
-// RemoteShardTask implements RemotableLoop: one iteration of one shard as
-// a kmeans.assign kernel call. The shard's documents and norms ship once
-// (Init) and stay cached in a worker session the affinity key pins; every
-// iteration ships the current centroids and the shard's previous
-// assignments, and absorbs the worker's accumulator wire form into the
-// shard's recycled Accum — the same partial the local path would produce,
-// bit for bit, because the worker runs the same kmeans.AssignRange over
-// the same documents.
-// sessionKey names one shard's worker-side session, unique per process
-// and loop.
-func (s *kmLoopState) sessionKey(idx int) string {
-	return fmt.Sprintf("km-%d-%d-%d", os.Getpid(), s.loopID, idx)
+// tableFor returns iteration iter's centroid table in flat sparse-row
+// form, encoding it on first use; tableMu must be held.
+func (s *kmLoopState) tableFor(iter int) []byte {
+	if s.tableIter != iter+1 {
+		rows := sparseRows(s.c.Centroids(), s.c.CentroidNorms(), s.dim)
+		s.table = rows.AppendFlat(s.table[:0])
+		s.tableIter = iter + 1
+	}
+	return s.table
 }
 
+// claimTable returns iteration iter's table when worker has not been sent
+// it yet — recording the send — and nil when the worker holds it. The
+// backend encodes a worker's requests in the order it writes them, and
+// the worker marks an inline table pending in that order too, so the
+// worker's later shards of the iteration find the table this send carries.
+func (s *kmLoopState) claimTable(worker, iter int) []byte {
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	if s.sent[worker] == iter+1 {
+		return nil
+	}
+	s.sent[worker] = iter + 1
+	return s.tableFor(iter)
+}
+
+// inlineTable returns iteration iter's table for a resend.
+func (s *kmLoopState) inlineTable(iter int) []byte {
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
+	return s.tableFor(iter)
+}
+
+// RemoteShardTask implements RemotableLoop: one iteration of one shard as
+// a kmeans.assign kernel call. The shard's documents and norms ship once
+// (Init) and stay cached in a worker session the affinity key pins. The
+// iteration's centroids ship once per worker, with the first of its
+// shards the worker receives; its other shards name the table by (loop,
+// iteration), and a worker that lacks it answers with a miss that brings
+// the table inline. Every task ships the shard's previous assignments and
+// absorbs the worker's accumulator wire form into the shard's recycled
+// Accum — the same partial the local path would produce, bit for bit,
+// because the worker runs the same kmeans.AssignRange over the same
+// documents and centroid bits.
 func (s *kmLoopState) RemoteShardTask(idx, total int) (*RemoteTask, bool) {
 	lo, hi := s.bounds[idx], s.bounds[idx+1]
-	session := s.sessionKey(idx)
-	args := KMAssignTaskArgs{
-		Session:   session,
-		Centroids: s.c.Centroids(),
-		CNorms:    s.c.CentroidNorms(),
-		Assign:    s.c.Assignments()[lo:hi],
-		Drift:     s.c.Drift(),
-	}
-	if !s.shipped[idx] {
-		args.Init = &KMShardInit{
-			Vectors:   s.docs[lo:hi],
-			Norms:     s.norms[lo:hi],
-			Dim:       s.dim,
-			K:         s.c.K(),
-			WantDists: s.c.TracksDists(),
-			Prune:     s.c.PruneEnabled(),
-			Elkan:     s.c.PruneElkan(),
-		}
-	}
+	iter := s.c.Iterations()
+	init := s.shardInit(idx)
+	assign, drift := s.c.Assignments()[lo:hi], s.c.Drift()
 	acc := s.accs[idx]
 	return &RemoteTask{
-		Op:       "kmeans.assign",
-		Args:     args,
-		Affinity: session,
+		Op: "kmeans.assign",
+		Args: func(b []byte, worker int) []byte {
+			return appendKMAssignArgs(b, s.loopKey, idx, iter, init, s.claimTable(worker, iter), assign, drift)
+		},
+		Affinity: sessionKey(s.loopKey, idx),
 		Phase:    kmeans.PhaseKMeans,
-		Codec:    "flat",
-		Absorb: func(body []byte) (Value, error) {
-			rep, err := DecodeFlatKMAssignReply(body)
+		Absorb: func(r *flatwire.Reader) (Value, error) {
+			rep, miss, err := consumeKMAssignReply(r)
 			if err != nil {
 				return nil, err
+			}
+			if miss != 0 {
+				return nil, &needResend{Args: func(b []byte) []byte {
+					return appendKMAssignArgs(b, s.loopKey, idx, iter, init, s.inlineTable(iter), assign, drift)
+				}}
 			}
 			if rep.Accum == nil || len(rep.Assign) != hi-lo {
 				return nil, fmt.Errorf("%w: kmeans.assign reply for shard %d is malformed", ErrType, idx)
@@ -466,14 +503,14 @@ func (s *kmLoopState) EndIteration(ctx *Context, partials []any) (bool, error) {
 	return s.c.Done(), nil
 }
 
-// Finish implements LoopState. The loop's affinity pins are released so a
-// long-lived backend does not accumulate dead session keys; the worker
-// sessions themselves expire by TTL.
+// Finish implements LoopState. The loop's affinity keys are released, so
+// the backend drops its pins and the workers free the loop's sessions and
+// centroid tables now rather than at their idle TTL.
 func (s *kmLoopState) Finish(ctx *Context) (Value, error) {
 	if ar, ok := ctx.Backend.(affinityReleaser); ok {
 		keys := make([]string, len(s.shipped))
 		for idx := range keys {
-			keys[idx] = s.sessionKey(idx)
+			keys[idx] = sessionKey(s.loopKey, idx)
 		}
 		ar.ReleaseAffinity(keys...)
 	}

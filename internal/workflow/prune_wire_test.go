@@ -1,8 +1,6 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
@@ -179,16 +177,6 @@ func TestPrunedAssignMatchesBulk(t *testing.T) {
 	}
 }
 
-// gobBody encodes kernel arguments the way the RPC backend would.
-func gobBody(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("gob encode %T: %v", v, err)
-	}
-	return buf.Bytes()
-}
-
 // clearWorkerCaches resets the worker-side transform caches, so cache
 // protocol tests start from a cold worker regardless of test order.
 func clearWorkerCaches() {
@@ -204,7 +192,7 @@ func clearWorkerCaches() {
 // bitmask, plus the raw reply for payload decoding.
 func transformFlags(t *testing.T, args TransformTaskArgs) (uint32, []byte) {
 	t.Helper()
-	reply, err := runTransformKernelFlat(gobBody(t, args))
+	reply, err := runTransformKernel(flatwire.NewReader(args.AppendFlat(nil)))
 	if err != nil {
 		t.Fatalf("transform kernel: %v", err)
 	}

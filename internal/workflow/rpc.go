@@ -1,13 +1,11 @@
 package workflow
 
 import (
-	"bytes"
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -15,101 +13,137 @@ import (
 	"hpa/internal/obs"
 )
 
-// This file implements the RPC execution backend and its worker side: a
-// net/rpc + gob protocol carrying (kernel name, gob args) requests to
-// worker processes and gob replies back. A worker is this same binary in
-// worker mode (cmd/hpa-workflow -worker) serving the kernel registry; the
-// coordinator's RPCBackend ships every task that has a RemoteTask
-// descriptor and runs everything else in-process. Workers are stateless
-// except for the loop-shard session cache (kernels.go), which affinity
-// routing keeps on one worker per shard.
+// This file implements the RPC execution backend and its worker side: the
+// frame protocol of frame.go carrying (kernel name, flat arguments)
+// requests to worker processes and flat replies back. A worker is this
+// same binary in worker mode (cmd/hpa-workflow -worker) serving the kernel
+// registry; the coordinator's RPCBackend ships every task that has a
+// RemoteTask descriptor and runs everything else in-process. Workers keep
+// loop-scoped state only (kernels.go): a loop shard's documents, the
+// count→transform hand-off, and one centroid table per loop iteration,
+// all freed by the release request the coordinator sends when the loop or
+// its plan run ends.
 
-// KernelFunc executes one registered worker kernel: gob-encoded arguments
-// in, gob-encoded reply out.
-type KernelFunc func(args []byte) ([]byte, error)
+// KernelFunc executes one registered worker kernel: it decodes its flat
+// arguments from args and returns its flat reply. The value blocks it
+// decodes through args are reported back to the coordinator in the reply
+// frame.
+type KernelFunc func(args *flatwire.Reader) ([]byte, error)
+
+// kernel is one registry entry.
+type kernel struct {
+	run KernelFunc
+	// admit, when set, runs on the connection's reader goroutine before the
+	// request is dispatched — in frame order, so state a request announces
+	// (an inline centroid table being decoded) is visible to every request
+	// read after it.
+	admit func(body []byte)
+}
 
 var (
 	kernelMu sync.RWMutex
-	kernels  = make(map[string]KernelFunc)
+	kernels  = make(map[string]kernel)
 )
 
 // RegisterKernel adds a kernel to the worker registry under the given op
 // name — the name RemoteTask.Op resolves against on the worker. The
 // built-in kernels (tfidf.count, tfidf.transform, kmeans.assign,
-// kmeans.seed) register themselves; registering a taken name panics, like
-// http.Handle.
+// kmeans.seed, workflow.release) register themselves; registering a taken
+// name, or one longer than 255 bytes, panics, like http.Handle.
 func RegisterKernel(name string, fn KernelFunc) {
+	registerKernel(name, kernel{run: fn})
+}
+
+func registerKernel(name string, k kernel) {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()
+	if len(name) > 255 {
+		panic(fmt.Sprintf("workflow: kernel name %q longer than 255 bytes", name))
+	}
 	if _, dup := kernels[name]; dup {
 		panic(fmt.Sprintf("workflow: kernel %q registered twice", name))
 	}
-	kernels[name] = fn
+	kernels[name] = k
 }
 
-// RPCRequest is one task shipped to a worker.
-type RPCRequest struct {
-	// Op is the kernel name in the registry.
-	Op string
-	// Body is the gob-encoded kernel argument.
-	Body []byte
-}
-
-// RPCResponse is a worker's reply.
-type RPCResponse struct {
-	// Body is the gob-encoded kernel result.
-	Body []byte
-}
-
-// Worker is the net/rpc service a worker process exposes.
-type Worker struct{}
-
-// Run executes one registered kernel. Kernel errors return as RPC errors,
-// which the coordinator wraps with worker identity.
-func (Worker) Run(req *RPCRequest, resp *RPCResponse) error {
+// runKernel executes one request and builds its reply. Kernel errors and
+// panics become error replies, which the coordinator wraps with worker
+// identity.
+func runKernel(req *request) (rep *reply) {
+	rep = &reply{ID: req.ID}
 	kernelMu.RLock()
-	fn := kernels[req.Op]
+	k, ok := kernels[req.Op]
 	kernelMu.RUnlock()
-	if fn == nil {
-		return fmt.Errorf("workflow: worker has no kernel %q (version mismatch?)", req.Op)
+	if !ok {
+		rep.Status = statusErr
+		rep.Body = fmt.Appendf(nil, "workflow: worker has no kernel %q (version mismatch?)", req.Op)
+		return rep
 	}
-	body, err := fn(req.Body)
+	r := flatwire.NewReader(req.Body)
+	start := time.Now()
+	defer func() {
+		rep.ComputeNS = int64(time.Since(start))
+		rep.ValueRaw, rep.ValueCoded = r.ValueBytes()
+		if p := recover(); p != nil {
+			rep.Status = statusErr
+			rep.Body = fmt.Appendf(nil, "workflow: kernel %s panicked: %v", req.Op, p)
+		}
+	}()
+	body, err := k.run(r)
 	if err != nil {
-		return err
+		rep.Status = statusErr
+		body = []byte(err.Error())
 	}
-	resp.Body = body
-	return nil
-}
-
-// newWorkerServer returns an rpc.Server serving the Worker service (a
-// fresh instance per listener, so tests can serve several workers in one
-// process).
-func newWorkerServer() *rpc.Server {
-	s := rpc.NewServer()
-	if err := s.RegisterName("Worker", Worker{}); err != nil {
-		panic(err) // static registration; cannot fail
-	}
-	return s
+	rep.Body = body
+	return rep
 }
 
 // ServeWorkerConn serves the worker protocol on one connection until it
-// closes — the in-process form (net.Pipe) the tests and the calibration
-// use.
+// closes or delivers a malformed frame — the in-process form (net.Pipe)
+// the tests and the calibration use. Requests run concurrently; their
+// replies are written whole, one frame at a time.
 func ServeWorkerConn(conn io.ReadWriteCloser) {
-	newWorkerServer().ServeConn(conn)
+	defer conn.Close()
+	var (
+		wmu sync.Mutex
+		wg  sync.WaitGroup
+	)
+	defer wg.Wait()
+	br := bufio.NewReaderSize(conn, 64<<10)
+	for {
+		req, err := readRequest(br)
+		if err != nil {
+			return
+		}
+		kernelMu.RLock()
+		admit := kernels[req.Op].admit
+		kernelMu.RUnlock()
+		if admit != nil {
+			admit(req.Body)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep := runKernel(req)
+			hdr := appendReplyHeader(make([]byte, 0, replyHeader), rep)
+			bufs := net.Buffers{hdr, rep.Body}
+			wmu.Lock()
+			defer wmu.Unlock()
+			bufs.WriteTo(conn) // a failed write means the coordinator is gone
+		}()
+	}
 }
 
 // ServeWorker accepts connections on lis and serves each until it closes.
 // It returns the first Accept error (closing the listener shuts the worker
 // down).
 func ServeWorker(lis net.Listener) error {
-	s := newWorkerServer()
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
 			return err
 		}
-		go s.ServeConn(conn)
+		go ServeWorkerConn(conn)
 	}
 }
 
@@ -128,34 +162,149 @@ func ListenAndServeWorker(addr string, ready chan<- string) error {
 	return ServeWorker(lis)
 }
 
-// RPCBackend ships remotable shard tasks to worker processes over net/rpc
-// and runs everything else in-process. Tasks without an affinity key are
-// spread round-robin; tasks sharing one stick to the worker that first
-// received the key. A failed worker call fails the task (and with it the
-// plan run) with a wrapped error — there is no silent retry, because a
-// retried loop shard could observe different session state and break the
-// bit-identical contract.
+// workerConn is the coordinator's end of one worker connection: requests
+// are written whole under wmu, and one reader goroutine hands each reply
+// to the call waiting on its id.
+type workerConn struct {
+	label string
+	conn  io.ReadWriteCloser
+
+	// wmu serializes request encoding and writing, so the order in which
+	// calls encode their arguments is the order the worker reads them.
+	wmu sync.Mutex
+	buf []byte // request buffer, reused across calls under wmu
+
+	mu      sync.Mutex
+	nextID  uint64
+	pending map[uint64]chan *reply
+	err     error // why the connection is unusable; set once
+}
+
+func newWorkerConn(label string, conn io.ReadWriteCloser) *workerConn {
+	w := &workerConn{label: label, conn: conn, pending: make(map[uint64]chan *reply)}
+	go w.readLoop()
+	return w
+}
+
+// readLoop delivers replies until the connection fails.
+func (w *workerConn) readLoop() {
+	br := bufio.NewReaderSize(w.conn, 64<<10)
+	for {
+		rep, err := readReply(br)
+		if err != nil {
+			w.fail(err)
+			return
+		}
+		w.mu.Lock()
+		ch := w.pending[rep.ID]
+		delete(w.pending, rep.ID)
+		w.mu.Unlock()
+		if ch == nil {
+			w.fail(fmt.Errorf("workflow: %w: reply to unknown request %d", flatwire.ErrMalformed, rep.ID))
+			return
+		}
+		ch <- rep
+	}
+}
+
+// fail marks the connection unusable, closes it and wakes every waiting
+// call.
+func (w *workerConn) fail(err error) {
+	w.mu.Lock()
+	if w.err == nil {
+		w.err = err
+	}
+	pending := w.pending
+	w.pending = make(map[uint64]chan *reply)
+	w.mu.Unlock()
+	for _, ch := range pending {
+		close(ch)
+	}
+	w.conn.Close()
+}
+
+// call sends one request, its body appended by args, and waits for the
+// reply. It returns the reply, the request and reply frame sizes, and the
+// round trip from the write to the reply's arrival.
+func (w *workerConn) call(op string, args func([]byte) []byte) (rep *reply, sent, recv int, rtt time.Duration, err error) {
+	ch := make(chan *reply, 1)
+	w.wmu.Lock()
+	w.mu.Lock()
+	if err := w.err; err != nil {
+		w.mu.Unlock()
+		w.wmu.Unlock()
+		return nil, 0, 0, 0, err
+	}
+	w.nextID++
+	id := w.nextID
+	w.pending[id] = ch
+	w.mu.Unlock()
+	b := beginRequest(w.buf[:0], id, op)
+	b = endFrame(args(b), 0)
+	sent = len(b)
+	start := time.Now()
+	_, err = w.conn.Write(b)
+	if cap(b) <= frameChunk {
+		w.buf = b[:0]
+	} else {
+		w.buf = nil // do not pin a one-off giant frame
+	}
+	w.wmu.Unlock()
+	if err != nil {
+		w.fail(err)
+		return nil, sent, 0, 0, err
+	}
+	rep, ok := <-ch
+	if !ok {
+		w.mu.Lock()
+		err = w.err
+		w.mu.Unlock()
+		return nil, sent, 0, 0, err
+	}
+	return rep, sent, replyHeader + len(rep.Body), time.Since(start), nil
+}
+
+// RPCBackend ships remotable shard tasks to worker processes and runs
+// everything else in-process. Tasks without an affinity key are spread
+// round-robin; tasks sharing one stick to the worker that first received
+// the key. A failed worker call fails the task (and with it the plan run)
+// with a wrapped error — there is no silent retry, because a retried loop
+// shard could observe different session state and break the bit-identical
+// contract.
 type RPCBackend struct {
-	clients []*rpc.Client
-	labels  []string
+	workers []*workerConn
 
 	mu       sync.Mutex
 	affinity map[string]int
 	scopes   map[string]map[string]struct{}
 	next     int
 
-	// shipEWMA tracks the measured wall-clock of worker round trips
-	// (encode + net/rpc call + reply decode inside Call) in nanoseconds, as
+	// shipEWMA tracks the measured ship time of worker calls — the round
+	// trip minus the compute time the worker reports — in nanoseconds, as
 	// an exponentially weighted moving average; shipCount counts samples.
 	// This is the feedback signal the cost model's RPCShipNS — a loopback
 	// lower bound measured at calibration time — can be compared against
 	// after a real run (cmd/hpa-workflow prints both).
 	shipEWMA  float64
 	shipCount int64
+
+	// valRaw and valCoded total the XOR value blocks of every call.
+	valRaw, valCoded int64
 }
 
 // shipAlpha is the EWMA weight of the newest ship-time sample.
 const shipAlpha = 0.2
+
+// releaseOp is the kernel that frees a finished loop's worker state.
+const releaseOp = "workflow.release"
+
+func newRPCBackend(workers []*workerConn) *RPCBackend {
+	return &RPCBackend{
+		workers:  workers,
+		affinity: make(map[string]int),
+		scopes:   make(map[string]map[string]struct{}),
+	}
+}
 
 // NewRPCBackend dials the given worker addresses (TCP) and returns a
 // backend over them. All workers must be reachable; on error, already
@@ -164,38 +313,35 @@ func NewRPCBackend(addrs []string) (*RPCBackend, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("workflow: rpc backend needs at least one worker address")
 	}
-	b := &RPCBackend{affinity: make(map[string]int), scopes: make(map[string]map[string]struct{})}
+	b := newRPCBackend(nil)
 	for _, addr := range addrs {
-		c, err := rpc.Dial("tcp", addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			b.Close()
 			return nil, fmt.Errorf("workflow: dial worker %s: %w", addr, err)
 		}
-		b.clients = append(b.clients, c)
-		b.labels = append(b.labels, addr)
+		b.workers = append(b.workers, newWorkerConn(addr, conn))
 	}
 	return b, nil
 }
 
-// NewRPCBackendClients wraps already-established rpc clients (e.g. over
-// net.Pipe with ServeWorkerConn on the other end) — the in-process form
-// used by tests and benchmarks.
-func NewRPCBackendClients(clients ...*rpc.Client) *RPCBackend {
-	b := &RPCBackend{clients: clients, affinity: make(map[string]int), scopes: make(map[string]map[string]struct{})}
-	for i := range clients {
-		b.labels = append(b.labels, fmt.Sprintf("client%d", i))
+// NewRPCBackendConns wraps already-established worker connections (e.g.
+// one end of a net.Pipe with ServeWorkerConn on the other) — the
+// in-process form used by tests, benchmarks and the calibration.
+func NewRPCBackendConns(conns ...io.ReadWriteCloser) *RPCBackend {
+	workers := make([]*workerConn, len(conns))
+	for i, c := range conns {
+		workers[i] = newWorkerConn(fmt.Sprintf("conn%d", i), c)
 	}
-	return b
+	return newRPCBackend(workers)
 }
 
 // Close closes the worker connections.
 func (b *RPCBackend) Close() error {
 	var first error
-	for _, c := range b.clients {
-		if c != nil {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, w := range b.workers {
+		if err := w.conn.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -205,7 +351,7 @@ func (b *RPCBackend) Close() error {
 func (b *RPCBackend) Name() string { return "rpc" }
 
 // Workers implements Backend.
-func (b *RPCBackend) Workers() int { return len(b.clients) }
+func (b *RPCBackend) Workers() int { return len(b.workers) }
 
 // pick selects the worker for an affinity key ("" = plain round-robin) and
 // reports whether the key was already pinned (an affinity session hit).
@@ -221,7 +367,7 @@ func (b *RPCBackend) pick(key, scope string) (int, bool) {
 			return i, true
 		}
 	}
-	i := b.next % len(b.clients)
+	i := b.next % len(b.workers)
 	b.next++
 	if key != "" {
 		b.affinity[key] = i
@@ -237,30 +383,61 @@ func (b *RPCBackend) pick(key, scope string) (int, bool) {
 	return i, false
 }
 
-// ReleaseAffinity drops affinity pins, so a long-lived backend serving
-// many plan runs does not accumulate one map entry per finished loop
-// shard (session keys are loop-unique and can never be picked again).
-// Loop states release their keys when the loop finishes.
-func (b *RPCBackend) ReleaseAffinity(keys ...string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// unpin drops the given affinity pins and groups the ones that were held
+// by worker; b.mu must be held.
+func (b *RPCBackend) unpin(keys []string) map[int][]string {
+	var held map[int][]string
 	for _, k := range keys {
+		i, ok := b.affinity[k]
+		if !ok {
+			continue
+		}
 		delete(b.affinity, k)
+		if held == nil {
+			held = make(map[int][]string)
+		}
+		held[i] = append(held[i], k)
+	}
+	return held
+}
+
+// release sends each worker the keys of the state it holds, so the worker
+// frees it now instead of at its TTL. Errors are dropped: a worker whose
+// connection failed holds nothing the coordinator can reach, and its idle
+// state still expires.
+func (b *RPCBackend) release(held map[int][]string) {
+	for i, keys := range held {
+		b.workers[i].call(releaseOp, func(buf []byte) []byte { return appendReleaseArgs(buf, keys) })
 	}
 }
 
+// ReleaseAffinity drops affinity pins and tells the workers holding them
+// to free the keyed state — how a finished loop frees its worker sessions
+// and centroid tables, so a long-lived backend serving many plan runs
+// accumulates neither pins nor worker memory.
+func (b *RPCBackend) ReleaseAffinity(keys ...string) {
+	b.mu.Lock()
+	held := b.unpin(keys)
+	b.mu.Unlock()
+	b.release(held)
+}
+
 // ReleaseScope drops every affinity pin recorded under the given plan-run
-// scope — the executor calls it when Plan.Run returns, success or error.
-// Keys a loop state already released individually are simply absent. This
-// is what keeps a resident serve backend's affinity map bounded by the
-// in-flight runs rather than by the runs ever admitted.
+// scope, and frees the workers' state behind them — the executor calls it
+// when Plan.Run returns, success or error. Keys a loop state already
+// released are simply absent. This is what keeps a resident serve
+// backend's pins and worker memory bounded by the in-flight runs rather
+// than by the runs ever admitted.
 func (b *RPCBackend) ReleaseScope(scope string) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	keys := make([]string, 0, len(b.scopes[scope]))
 	for k := range b.scopes[scope] {
-		delete(b.affinity, k)
+		keys = append(keys, k)
 	}
+	held := b.unpin(keys)
 	delete(b.scopes, scope)
+	b.mu.Unlock()
+	b.release(held)
 }
 
 // PinnedAffinities reports how many affinity pins the backend currently
@@ -271,31 +448,42 @@ func (b *RPCBackend) PinnedAffinities() int {
 	return len(b.affinity)
 }
 
-// MeasuredShipNS returns the EWMA of observed worker round-trip times in
-// nanoseconds and the number of samples behind it (0, 0 before any remote
-// task ran). Compare against CostModel.RPCShipNS to see how far the
-// calibrated loopback lower bound sits from this deployment's reality.
+// MeasuredShipNS returns the EWMA of observed ship times in nanoseconds —
+// each worker round trip minus the compute time the worker reported — and
+// the number of samples behind it (0, 0 before any remote task ran).
+// Compare against CostModel.RPCShipNS to see how far the calibrated
+// loopback lower bound sits from this deployment's reality.
 func (b *RPCBackend) MeasuredShipNS() (float64, int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.shipEWMA, b.shipCount
 }
 
-// observeShip folds one measured round trip into the EWMA.
-func (b *RPCBackend) observeShip(ns float64) {
+// ValueBytes returns the raw and coded sizes of every XOR value block the
+// backend's calls shipped, in both directions.
+func (b *RPCBackend) ValueBytes() (raw, coded int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.valRaw, b.valCoded
+}
+
+// observe folds one call's measured ship time and value bytes in.
+func (b *RPCBackend) observe(shipNS float64, raw, coded int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.shipCount == 0 {
-		b.shipEWMA = ns
+		b.shipEWMA = shipNS
 	} else {
-		b.shipEWMA += shipAlpha * (ns - b.shipEWMA)
+		b.shipEWMA += shipAlpha * (shipNS - b.shipEWMA)
 	}
 	b.shipCount++
+	b.valRaw += raw
+	b.valCoded += coded
 }
 
 // RunTask implements Backend: tasks with a remote descriptor ship to a
 // worker; the rest run in-process. The shipped task's wall-clock time
-// (encode + RPC + decode + absorb) is accounted to the descriptor's phase
+// (encode + round trip + absorb) is accounted to the descriptor's phase
 // key, so breakdowns keep their meaning.
 func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	rt := t.Remote
@@ -309,44 +497,39 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 	}
 	call := func() (Value, error) {
 		i, pinned := b.pick(rt.Affinity, rt.Scope)
+		w := b.workers[i]
 		if span != nil {
-			span.Worker = b.labels[i]
-			span.Codec = rt.Codec
-			// Attribute the XOR value-block traffic this call decodes (and,
-			// over a pipe worker, encodes) to the span as deltas of the
-			// process-wide counters.
-			vRaw0, vCoded0 := flatwire.ValueBytes()
-			defer func() {
-				raw, coded := flatwire.ValueBytes()
-				span.ValueRawBytes += raw - vRaw0
-				span.ValueCodedBytes += coded - vCoded0
-			}()
+			span.Worker = w.label
+			span.Codec = "flat"
 			if pinned {
 				tracer.Emit("wire", "affinity-hit", rt.Affinity, int64(i))
 			}
 		}
-		ship := func(args any) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(args); err != nil {
-				return nil, fmt.Errorf("workflow: rpc backend: encode %s args: %w", rt.Op, err)
+		ship := func(args func([]byte) []byte) (Value, error) {
+			rep, sent, recv, rtt, err := w.call(rt.Op, args)
+			if err != nil {
+				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", w.label, rt.Op, err)
 			}
-			start := time.Now()
-			var resp RPCResponse
-			if err := b.clients[i].Call("Worker.Run", &RPCRequest{Op: rt.Op, Body: buf.Bytes()}, &resp); err != nil {
-				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %w", b.labels[i], rt.Op, err)
+			if rep.Status == statusErr {
+				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: %s", w.label, rt.Op, rep.Body)
 			}
-			b.observeShip(float64(time.Since(start)))
+			r := flatwire.NewReader(rep.Body)
+			out, err := rt.Absorb(r)
+			// Every value block of this call, counted once: the arguments by
+			// the worker's reader, the reply by this one.
+			raw, coded := r.ValueBytes()
+			raw += rep.ValueRaw
+			coded += rep.ValueCoded
+			b.observe(float64(max(rtt-time.Duration(rep.ComputeNS), 0)), raw, coded)
 			if span != nil {
-				span.BytesOut += int64(buf.Len())
-				span.BytesIn += int64(len(resp.Body))
+				span.BytesOut += int64(sent)
+				span.BytesIn += int64(recv)
+				span.ValueRawBytes += raw
+				span.ValueCodedBytes += coded
 			}
-			return resp.Body, nil
+			return out, err
 		}
-		body, err := ship(rt.Args)
-		if err != nil {
-			return nil, err
-		}
-		out, err := rt.Absorb(body)
+		out, err := ship(func(buf []byte) []byte { return rt.Args(buf, i) })
 		var nr *needResend
 		if errors.As(err, &nr) {
 			// Cache miss: the worker lacks a body the first send replaced
@@ -357,14 +540,8 @@ func (b *RPCBackend) RunTask(ctx *Context, t *Task) (Value, error) {
 				span.Resend = true
 				tracer.Emit("wire", "cache-miss-resend", rt.Op, int64(i))
 			}
-			if body, err = ship(nr.Args); err != nil {
-				return nil, err
-			}
-			if out, err = rt.Absorb(body); err != nil {
-				if errors.As(err, &nr) {
-					return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: cache miss after inlined resend", b.labels[i], rt.Op)
-				}
-				return nil, err
+			if out, err = ship(nr.Args); errors.As(err, &nr) {
+				return nil, fmt.Errorf("workflow: rpc backend: worker %s: task %s: cache miss after inlined resend", w.label, rt.Op)
 			}
 		}
 		return out, err

@@ -2,8 +2,10 @@ package workflow
 
 import (
 	"fmt"
+	"regexp"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"hpa/internal/corpus"
@@ -15,11 +17,17 @@ import (
 )
 
 // tracedTFKM runs the merged sharded TF/IDF→K-Means workflow with a tracer
-// attached and returns the snapshot.
+// attached on a pool of 4 — so up to 4 shard tasks are in flight at once —
+// and returns the snapshot.
 func tracedTFKM(t *testing.T, backend Backend, scratch string) *obs.Trace {
+	return tracedTFKMOn(t, backend, scratch, 4)
+}
+
+// tracedTFKMOn is tracedTFKM on a pool of the given size.
+func tracedTFKMOn(t *testing.T, backend Backend, scratch string, workers int) *obs.Trace {
 	t.Helper()
 	src := diskCorpus(t)
-	pool := par.NewPool(4)
+	pool := par.NewPool(workers)
 	defer pool.Close()
 	ctx := NewContext(pool)
 	ctx.ScratchDir = scratch
@@ -44,11 +52,16 @@ func spanKey(s *obs.Span) string {
 
 // TestCrossBackendSpanParity: local and RPC runs of the same plan must
 // schedule the same task set — identical (node, op, kind, shard, iter)
-// multisets, differing only in worker lanes and wire annotations.
+// multisets, differing only in worker lanes and wire annotations. The RPC
+// run's per-span value bytes, recorded while 4 shard tasks run
+// concurrently, must sum to the backend's per-call totals and to the same
+// run's totals with one task in flight: no span absorbs a neighbour's
+// bytes.
 func TestCrossBackendSpanParity(t *testing.T) {
 	scratch := t.TempDir()
 	local := tracedTFKM(t, LocalBackend{}, scratch)
-	remote := tracedTFKM(t, pipeBackend(t, 2), scratch)
+	rpc := pipeBackend(t, 2)
+	remote := tracedTFKM(t, rpc, scratch)
 
 	keys := func(tr *obs.Trace) []string {
 		out := make([]string, len(tr.Spans))
@@ -82,6 +95,26 @@ func TestCrossBackendSpanParity(t *testing.T) {
 	}
 	if shipped == 0 {
 		t.Error("RPC run recorded no wire bytes")
+	}
+
+	valueBytes := func(tr *obs.Trace) (raw, coded int64) {
+		for i := range tr.Spans {
+			raw += tr.Spans[i].ValueRawBytes
+			coded += tr.Spans[i].ValueCodedBytes
+		}
+		return raw, coded
+	}
+	raw, coded := valueBytes(remote)
+	if raw == 0 || coded == 0 {
+		t.Fatalf("RPC run recorded no value bytes (raw %d, coded %d)", raw, coded)
+	}
+	if wantRaw, wantCoded := rpc.ValueBytes(); raw != wantRaw || coded != wantCoded {
+		t.Errorf("span value bytes sum to %d raw / %d coded, the calls to %d / %d", raw, coded, wantRaw, wantCoded)
+	}
+	serialRaw, serialCoded := valueBytes(tracedTFKMOn(t, pipeBackend(t, 2), scratch, 1))
+	if raw != serialRaw || coded != serialCoded {
+		t.Errorf("span value bytes: %d raw / %d coded with 4 tasks in flight, %d / %d with one",
+			raw, coded, serialRaw, serialCoded)
 	}
 }
 
@@ -196,5 +229,55 @@ func BenchmarkTracingOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAutopsyCountsSeedRoundsApart is the autopsy golden on a seeded k=16
+// run: the K-Means node reports its 15 K-Means++ seed rounds and its loop
+// iterations separately — seed rounds once counted as iterations — and the
+// iteration count is the clustering's own.
+func TestAutopsyCountsSeedRoundsApart(t *testing.T) {
+	src := diskCorpus(t)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	ctx := NewContext(pool)
+	ctx.ScratchDir = t.TempDir()
+	ctx.Tracer = obs.NewTracer()
+	plan := TFKMPlan(src, TFKMConfig{
+		Mode:   Merged,
+		Shards: 4,
+		TFIDF:  tfidf.Options{Normalize: true},
+		KMeans: kmeans.Options{K: 16, Seed: 1},
+	})
+	rep, err := RunTFKMPlan(plan, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := obs.Autopsy(plan, ctx.Tracer.Snapshot(), nil)
+	measured := regexp.MustCompile(`measured [^,]+, `)
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# autopsy ") {
+			got = append(got, measured.ReplaceAllString(line, "measured D, "))
+		}
+	}
+	// The loop's 87 tasks: its begin, 15 seed rounds of 4 scans and a draw,
+	// 2 iterations of 4 shards and a reduce, and its finish.
+	want := []string{
+		"# autopsy kmeans.assign: measured D, 87 tasks, 15 seed rounds, 2 iterations",
+		"# autopsy kmeans.reduce: measured D, 1 tasks",
+		"# autopsy output: measured D, 1 tasks",
+		"# autopsy scan: measured D, 1 tasks",
+		"# autopsy scan.shards: measured D, 4 tasks",
+		"# autopsy tfidf.df: measured D, 1 tasks",
+		"# autopsy tfidf.gather: measured D, 1 tasks",
+		"# autopsy tfidf.map: measured D, 4 tasks",
+		"# autopsy tfidf.transform: measured D, 4 tasks",
+	}
+	if iters := rep.Clustering.Result.Iterations; iters != 2 {
+		t.Errorf("the seeded run clustered in %d iterations, the golden expects 2", iters)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("autopsy lines:\n%s\nwant:\n%s\nfull autopsy:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"), out)
 	}
 }

@@ -87,7 +87,7 @@ func benchVectorShardQuantized() *tfidf.VectorShard {
 // the encoded size reported — quantifying what flattening the wire saves
 // in bytes, time and allocations. The flat cases additionally report
 // val%: the XOR-coded f64 value blocks' size as a percentage of their
-// fixed-width form (flatwire.ValueBytes), on both the adversarial
+// fixed-width form (flatwire.Reader.ValueBytes), on both the adversarial
 // dense-rational corpus and the quantized repeated-value corpus. Run with
 //
 //	go test ./internal/workflow -run '^$' -bench WirePayloads -benchtime 100x
@@ -98,17 +98,20 @@ func BenchmarkWirePayloads(b *testing.B) {
 	qs := benchVectorShardQuantized()
 	aw := benchAccumWire()
 
-	// valuePct measures one encode's value-block compression via the
-	// process-wide flatwire counters (encode-side delta only).
-	valuePct := func(encode func() []byte) float64 {
-		raw0, coded0 := flatwire.ValueBytes()
-		encode()
-		raw1, coded1 := flatwire.ValueBytes()
-		if raw1 == raw0 {
+	// valuePct measures one encoding's value-block compression: decoding
+	// it counts every value block on the decoder's reader.
+	valuePct := func(buf []byte, decode func(*flatwire.Reader) error) float64 {
+		r := flatwire.NewReader(buf)
+		if err := decode(r); err != nil {
+			b.Fatal(err)
+		}
+		raw, coded := r.ValueBytes()
+		if raw == 0 {
 			return 100
 		}
-		return 100 * float64(coded1-coded0) / float64(raw1-raw0)
+		return 100 * float64(coded) / float64(raw)
 	}
+	decodeShard := func(r *flatwire.Reader) error { _, err := tfidf.ConsumeFlatVectorShard(r); return err }
 
 	b.Run("vectorshard/gob", func(b *testing.B) {
 		b.ReportAllocs()
@@ -137,7 +140,7 @@ func BenchmarkWirePayloads(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(size), "wire-bytes")
-		b.ReportMetric(valuePct(func() []byte { return vs.EncodeFlat(nil) }), "val%")
+		b.ReportMetric(valuePct(vs.EncodeFlat(nil), decodeShard), "val%")
 	})
 	b.Run("vectorshard-quantized/gob", func(b *testing.B) {
 		b.ReportAllocs()
@@ -166,7 +169,7 @@ func BenchmarkWirePayloads(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(size), "wire-bytes")
-		b.ReportMetric(valuePct(func() []byte { return qs.EncodeFlat(nil) }), "val%")
+		b.ReportMetric(valuePct(qs.EncodeFlat(nil), decodeShard), "val%")
 	})
 	b.Run("accum/gob", func(b *testing.B) {
 		b.ReportAllocs()
@@ -195,6 +198,9 @@ func BenchmarkWirePayloads(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(size), "wire-bytes")
-		b.ReportMetric(valuePct(func() []byte { return aw.EncodeFlat(nil) }), "val%")
+		b.ReportMetric(valuePct(aw.EncodeFlat(nil), func(r *flatwire.Reader) error {
+			_, err := kmeans.ConsumeFlatAccumWire(r)
+			return err
+		}), "val%")
 	})
 }

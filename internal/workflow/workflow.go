@@ -68,9 +68,10 @@
 // Where the executor's (node, shard) tasks physically run is pluggable
 // (Backend, Context.Backend): LocalBackend — the default — executes every
 // task in-process on the pool, and RPCBackend ships tasks that have a
-// serializable descriptor to worker processes over net/rpc + gob (a
-// worker is this engine's kernel registry served by ServeWorker; see
-// cmd/hpa-workflow -worker). The scheduler never moves: dependency
+// serializable descriptor to worker processes over the task wire —
+// length-prefixed frames of flat arguments and replies on one stream
+// connection per worker (a worker is this engine's kernel registry served
+// by ServeWorker; see cmd/hpa-workflow -worker). The scheduler never moves: dependency
 // tracking, shard ordering and every reduction stay on the coordinator,
 // and remote kernels run the same shard functions the local path runs
 // (tfidf.CountShard, tfidf.TransformShard, kmeans.AssignRange), so
@@ -81,8 +82,12 @@
 // dictionaries as flattened (word, count) wire forms — and the K-Means
 // assignment loop's per-iteration shard tasks, whose documents ship once
 // into a worker-side session (pinned to one worker by backend affinity)
-// and whose per-iteration traffic is centroids out, kmeans.Accum wire
-// forms and assignments back. K-Means++ seeding scan rounds ship as
+// and whose per-iteration traffic is assignments out, kmeans.Accum wire
+// forms and assignments back; the iteration's centroids travel once per
+// worker, as sparse rows decoded into one table all of the loop's shards
+// on that worker share. When the loop ends — or its plan run ends in an
+// error — the coordinator releases the loop's keys and the workers free
+// its sessions and tables. K-Means++ seeding scan rounds ship as
 // prepare-wave tasks through the same pinned sessions (documents ship
 // once for seeding and iterations combined); the per-round seed draw
 // stays on the coordinator. Splits, the DF tree-merge, the streaming
@@ -113,11 +118,11 @@
 //     their output in the worker session under a per-run scope
 //     (count→transform affinity), the paired transform task names the
 //     session, and the scope's pins are released when the run ends. And
-//     the bulk payloads — tfidf.VectorShard, kmeans.AccumWire, assignment
-//     replies — travel as flat length-prefixed buffers (internal/flatwire)
-//     instead of gob, ~8x faster to encode+decode with orders of magnitude
-//     fewer allocations (BENCH_pruned.json); gob remains the envelope for
-//     descriptors and everything cold.
+//     every payload — kernel arguments, tfidf.VectorShard,
+//     kmeans.AccumWire, assignment replies — travels as a flat buffer
+//     (internal/flatwire) inside a length-prefixed frame (frame.go), ~8x
+//     faster to encode+decode than gob with orders of magnitude fewer
+//     allocations (BENCH_pruned.json).
 //
 // Fusion is a graph rewrite: a plan containing an explicit materialize/load
 // operator pair around an edge is rewritten by FuseRule into one without
